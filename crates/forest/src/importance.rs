@@ -54,8 +54,18 @@ impl VariableImportance {
                     .collect();
                 let obs: Vec<f64> = oob.iter().map(|&i| forest.y[i as usize]).collect();
                 let base_mse = bf_mse(&base_preds, &obs);
+                // Permuting a feature the tree never splits on leaves every
+                // prediction equal to the base one, so its increase is this
+                // value; each stream below is seeded fresh, so skipping one
+                // shifts no other.
+                let splits_on = tree.split_features();
+                let unread_inc = bf_mse(&base_preds, &obs) - base_mse;
                 // Deterministic permutation stream per (tree, feature).
                 for f in 0..p {
+                    if !splits_on[f] {
+                        incs[f] = unread_inc;
+                        continue;
+                    }
                     let mut rng = StdRng::seed_from_u64(
                         forest.tree_seeds[t] ^ (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     );
@@ -166,6 +176,27 @@ mod tests {
             .collect();
         let y: Vec<f64> = x.iter().map(|r| 10.0 * r[0] + 0.5 * r[1]).collect();
         (x, y)
+    }
+
+    #[test]
+    fn feature_no_tree_splits_on_scores_exactly_zero() {
+        // Feature 1 is constant, so no split can separate its values.
+        let x: Vec<Vec<f64>> = (0..60)
+            .map(|i| vec![i as f64, 3.0, ((i * 7) % 13) as f64])
+            .collect();
+        let y: Vec<f64> = x.iter().map(|r| 2.0 * r[0] + r[2]).collect();
+        let f = RandomForest::fit(
+            &x,
+            &y,
+            &ForestParams::default().with_trees(50).with_seed(17),
+        )
+        .unwrap();
+        assert!(f.trees.iter().all(|t| !t.split_features()[1]));
+        let imp = f.permutation_importance();
+        assert_eq!(imp.mean_increase_mse[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(imp.sd_increase_mse[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(imp.standardized[1].to_bits(), 0.0f64.to_bits());
+        assert!(imp.mean_increase_mse[0] > 0.0);
     }
 
     #[test]

@@ -50,15 +50,7 @@ impl PartialDependence {
                 .map(|k| lo + (hi - lo) * k as f64 / (grid_size - 1) as f64)
                 .collect()
         };
-        let response = grid
-            .iter()
-            .map(|&v| Self::average_prediction(forest, feature, v))
-            .collect();
-        PartialDependence {
-            feature,
-            grid,
-            response,
-        }
+        Self::on_grid(forest, feature, grid)
     }
 
     /// Computes the curve on the feature's observed unique values (closer to
@@ -67,26 +59,39 @@ impl PartialDependence {
         let mut grid: Vec<f64> = forest.training_columns()[feature].clone();
         grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
         grid.dedup();
-        let response = grid
-            .iter()
-            .map(|&v| Self::average_prediction(forest, feature, v))
-            .collect();
+        Self::on_grid(forest, feature, grid)
+    }
+
+    /// The curve on an ascending `grid`: the forest's mean prediction over
+    /// the training rows with `feature` set to each grid value.
+    ///
+    /// Each (row, tree) pair is one walk that serves the whole grid (see
+    /// `RegressionTree::accumulate_grid`). `totals[k]` still receives its
+    /// leaf values rows outer, trees inner, and is divided by the same
+    /// `n * trees`, so every response is bit-identical to walking the forest
+    /// once per grid value.
+    fn on_grid(forest: &RandomForest, feature: usize, grid: Vec<f64>) -> PartialDependence {
+        let columns = forest.training_columns();
+        let n = forest.training_response().len();
+        let _span = bf_trace::span!(
+            "partial_dependence",
+            feature = feature,
+            grid = grid.len(),
+            rows = n
+        );
+        let mut totals = vec![0.0; grid.len()];
+        for i in 0..n {
+            for tree in &forest.trees {
+                tree.accumulate_grid(columns, i, feature, &grid, &mut totals);
+            }
+        }
+        let count = n as f64 * forest.trees.len() as f64;
+        let response = totals.into_iter().map(|total| total / count).collect();
         PartialDependence {
             feature,
             grid,
             response,
         }
-    }
-
-    fn average_prediction(forest: &RandomForest, feature: usize, value: f64) -> f64 {
-        let n = forest.training_response().len();
-        let mut total = 0.0;
-        for i in 0..n {
-            for tree in &forest.trees {
-                total += tree.predict_columns(forest.training_columns(), i, Some((feature, value)));
-            }
-        }
-        total / (n as f64 * forest.trees.len() as f64)
     }
 
     /// Classifies the curve's qualitative trend.
@@ -159,7 +164,138 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ForestParams, RandomForest};
+    use crate::tree::Node;
+    use crate::{ForestParams, RandomForest, SplitStrategy};
+
+    /// The reference: one full forest walk per (grid value, row, tree).
+    fn average_prediction(forest: &RandomForest, feature: usize, value: f64) -> f64 {
+        let n = forest.training_response().len();
+        let mut total = 0.0;
+        for i in 0..n {
+            for tree in &forest.trees {
+                total += tree.predict_columns(forest.training_columns(), i, Some((feature, value)));
+            }
+        }
+        total / (n as f64 * forest.trees.len() as f64)
+    }
+
+    fn assert_matches_reference(forest: &RandomForest, pd: &PartialDependence) {
+        assert_eq!(pd.grid.len(), pd.response.len());
+        for (&v, &r) in pd.grid.iter().zip(&pd.response) {
+            let want = average_prediction(forest, pd.feature, v);
+            assert_eq!(
+                r.to_bits(),
+                want.to_bits(),
+                "feature {} at {v}: {r} vs reference {want}",
+                pd.feature
+            );
+        }
+    }
+
+    /// Three features with interacting effects, so every tree splits on
+    /// each feature at several depths.
+    fn interacting_forest(seed: u64, strategy: SplitStrategy) -> RandomForest {
+        let x: Vec<Vec<f64>> = (0..90)
+            .map(|i| {
+                vec![
+                    (i % 15) as f64 * 0.7,
+                    ((i * 7) % 11) as f64,
+                    ((i * 13) % 17) as f64 - 8.0,
+                ]
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| r[0] * r[1] + (r[2] * 0.5).sin() * 10.0 + if r[1] > 5.0 { r[2] } else { 0.0 })
+            .collect();
+        let params = ForestParams::default()
+            .with_trees(40)
+            .with_seed(seed)
+            .with_split_strategy(strategy);
+        RandomForest::fit(&x, &y, &params).unwrap()
+    }
+
+    fn forests() -> Vec<RandomForest> {
+        vec![
+            interacting_forest(31, SplitStrategy::Exact),
+            interacting_forest(32, SplitStrategy::Exact),
+            interacting_forest(33, SplitStrategy::Histogram { max_bins: 8 }),
+            fit_monotone(true),
+        ]
+    }
+
+    #[test]
+    fn single_walk_matches_per_value_reference_bit_for_bit() {
+        for forest in forests() {
+            for feature in 0..forest.n_features() {
+                for grid_size in [1, 2, 3, 16, 40] {
+                    let pd = PartialDependence::compute(&forest, feature, grid_size);
+                    assert_matches_reference(&forest, &pd);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn observed_grid_matches_per_value_reference_bit_for_bit() {
+        for forest in forests() {
+            for feature in 0..forest.n_features() {
+                let pd = PartialDependence::compute_at_observed(&forest, feature);
+                assert!(pd.grid.len() > 2);
+                assert_matches_reference(&forest, &pd);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_values_on_split_thresholds_match_reference() {
+        for forest in forests() {
+            for feature in 0..forest.n_features() {
+                // Every threshold the forest splits this feature at, plus
+                // the values either side of it: `v == threshold` must go
+                // left exactly as the per-value walk sends it.
+                let mut grid: Vec<f64> = forest
+                    .trees
+                    .iter()
+                    .flat_map(|t| t.nodes().iter())
+                    .filter_map(|node| match node {
+                        Node::Internal {
+                            feature: f,
+                            threshold,
+                            ..
+                        } if *f as usize == feature => Some(*threshold),
+                        _ => None,
+                    })
+                    .flat_map(|t| [t.next_down(), t, t.next_up()])
+                    .collect();
+                assert!(!grid.is_empty(), "no split on feature {feature}");
+                grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                grid.dedup();
+                let pd = PartialDependence::on_grid(&forest, feature, grid);
+                assert_matches_reference(&forest, &pd);
+            }
+        }
+    }
+
+    #[test]
+    fn constant_column_matches_reference() {
+        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, 7.0]).collect();
+        let y: Vec<f64> = (0..30).map(|i| (i * i) as f64).collect();
+        let forest = RandomForest::fit(
+            &x,
+            &y,
+            &ForestParams::default().with_trees(25).with_seed(34),
+        )
+        .unwrap();
+        for grid_size in [1, 2, 16] {
+            let pd = PartialDependence::compute(&forest, 1, grid_size);
+            assert_eq!(pd.grid, vec![7.0]);
+            assert_matches_reference(&forest, &pd);
+        }
+        let pd = PartialDependence::compute_at_observed(&forest, 1);
+        assert_eq!(pd.grid, vec![7.0]);
+        assert_matches_reference(&forest, &pd);
+    }
 
     fn fit_monotone(increasing: bool) -> RandomForest {
         let x: Vec<Vec<f64>> = (0..80)

@@ -277,6 +277,87 @@ impl RegressionTree {
         }
     }
 
+    /// Adds to `acc[k]` the prediction for sample `i` of column-major data
+    /// with `feature` overridden to `grid[k]`, for every `k` in one walk.
+    ///
+    /// `grid` must be ascending, so at a split on `feature` the values that
+    /// go left (`v <= threshold`) form a prefix: the walk splits the grid
+    /// there and follows each part. Every other split reads `columns` as
+    /// [`Self::predict_columns`] does, so `acc[k]` gains exactly the leaf
+    /// value `predict_columns(columns, i, Some((feature, grid[k])))` returns.
+    pub(crate) fn accumulate_grid(
+        &self,
+        columns: &[Vec<f64>],
+        i: usize,
+        feature: usize,
+        grid: &[f64],
+        acc: &mut [f64],
+    ) {
+        debug_assert_eq!(grid.len(), acc.len());
+        self.accumulate_grid_from(0, columns, i, feature, grid, acc);
+    }
+
+    fn accumulate_grid_from(
+        &self,
+        mut at: usize,
+        columns: &[Vec<f64>],
+        i: usize,
+        feature: usize,
+        mut grid: &[f64],
+        mut acc: &mut [f64],
+    ) {
+        while !grid.is_empty() {
+            match &self.nodes[at] {
+                Node::Leaf { value, .. } => {
+                    for a in acc.iter_mut() {
+                        *a += *value;
+                    }
+                    return;
+                }
+                Node::Internal {
+                    feature: f,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    let f = *f as usize;
+                    if f == feature {
+                        let k = grid.partition_point(|&v| v <= *threshold);
+                        let (acc_left, acc_right) = std::mem::take(&mut acc).split_at_mut(k);
+                        self.accumulate_grid_from(
+                            *left as usize,
+                            columns,
+                            i,
+                            feature,
+                            &grid[..k],
+                            acc_left,
+                        );
+                        grid = &grid[k..];
+                        acc = acc_right;
+                        at = *right as usize;
+                    } else {
+                        at = if columns[f][i] <= *threshold {
+                            *left as usize
+                        } else {
+                            *right as usize
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which features the tree splits on, indexed by feature.
+    pub(crate) fn split_features(&self) -> Vec<bool> {
+        let mut used = vec![false; self.n_features];
+        for node in &self.nodes {
+            if let Node::Internal { feature, .. } = node {
+                used[*feature as usize] = true;
+            }
+        }
+        used
+    }
+
     /// Borrow the node arena (used by the level-order batch layout in
     /// [`crate::flat`]).
     pub(crate) fn nodes(&self) -> &[Node] {
