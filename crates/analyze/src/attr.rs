@@ -24,14 +24,13 @@
 
 use crate::oracle::REL_TOLERANCE;
 use crate::walk::{
-    walk_instruction, CoalescingSummary, DivergenceSummary, Location, SharedConflictSummary,
-    StaticCounts, StaticLaunchAnalysis,
+    walk_instruction, Accumulator, CoalescingSummary, DivergenceSummary, Location, SampledLaunch,
+    SharedConflictSummary, StaticCounts, StaticLaunchAnalysis, WalkScratch,
 };
 use bf_kernels::Application;
 use gpu_sim::blocks::{block_content_id, segment_stream};
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::trace::{BlockTrace, KernelTrace};
-use gpu_sim::{sample_block_ids, GpuConfig, Result};
+use gpu_sim::trace::KernelTrace;
+use gpu_sim::{GpuConfig, Result};
 use serde::Serialize;
 
 /// A block qualifies as "hot" at application level when it carries at least
@@ -174,119 +173,135 @@ pub fn check_conservation(
 /// Walks exactly the blocks [`analyze_launch`] samples, in the same order,
 /// applying the same counting rules — only the destination accumulator
 /// differs (the instruction's enclosing basic block instead of the launch).
+///
+/// [`analyze_launch`]: crate::walk::analyze_launch
 pub fn attribute_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<BlockLevelAnalysis> {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc)?;
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    for t in &traces {
-        t.validate()?;
-    }
+    Ok(SampledLaunch::new(gpu, kernel)?.attribute(gpu, &mut WalkScratch::default()))
+}
 
-    let mut blocks: Vec<BlockAttribution> = Vec::new();
-    // id -> index into `blocks`; linear scan is fine at trace block counts
-    // (tens of distinct blocks), and it keeps first-seen order deterministic.
-    let find = |blocks: &mut Vec<BlockAttribution>, id: u64, first_seen: Location, len: usize| {
-        match blocks.iter().position(|b| b.id == id) {
-            Some(i) => i,
-            None => {
-                let mut b = BlockAttribution {
-                    id,
-                    first_seen,
-                    instructions: len,
-                    occurrences: 0,
-                    counts: StaticCounts::default(),
-                    shared: SharedConflictSummary::default(),
-                    loads: CoalescingSummary::default(),
-                    stores: CoalescingSummary::default(),
-                    divergence: DivergenceSummary::default(),
+/// A basic block being accumulated: where it was first seen, its length,
+/// how many spans merged into it, and what the walk counted for it.
+struct BlockAcc {
+    id: u64,
+    first_seen: Location,
+    instructions: usize,
+    occurrences: u64,
+    acc: Accumulator,
+}
+
+impl SampledLaunch {
+    /// The per-basic-block counting walk over the sampled traces.
+    pub(crate) fn attribute(
+        &self,
+        gpu: &GpuConfig,
+        scratch: &mut WalkScratch,
+    ) -> BlockLevelAnalysis {
+        let mut blocks: Vec<BlockAcc> = Vec::new();
+        // id -> index into `blocks`; linear scan is fine at trace block
+        // counts (tens of distinct blocks), and it keeps first-seen order
+        // deterministic.
+        let find =
+            |blocks: &mut Vec<BlockAcc>, id: u64, first_seen: Location, len: usize| match blocks
+                .iter()
+                .position(|b| b.id == id)
+            {
+                Some(i) => i,
+                None => {
+                    blocks.push(BlockAcc {
+                        id,
+                        first_seen,
+                        instructions: len,
+                        occurrences: 0,
+                        acc: Accumulator::default(),
+                    });
+                    blocks.len() - 1
+                }
+            };
+        // Id of the synthetic entry block used when a warp stream is empty:
+        // launch-structural counters still need an owner.
+        let empty_id = block_content_id(&[]);
+
+        for (trace, &grid_block) in self.traces.iter().zip(&self.ids) {
+            if trace.warps.is_empty() {
+                // A degenerate warpless trace still counts as a launched
+                // block.
+                let loc = Location {
+                    block: grid_block,
+                    warp: 0,
+                    instruction: 0,
                 };
-                b.loads.worst_efficiency = 1.0;
-                b.stores.worst_efficiency = 1.0;
-                blocks.push(b);
-                blocks.len() - 1
+                let entry = find(&mut blocks, empty_id, loc, 0);
+                blocks[entry].acc.counts.blocks_launched += 1.0;
+                continue;
             }
-        }
-    };
-    // Id of the synthetic entry block used when a warp stream is empty:
-    // launch-structural counters still need an owner.
-    let empty_id = block_content_id(&[]);
-
-    for (trace, &grid_block) in traces.iter().zip(&ids) {
-        if trace.warps.is_empty() {
-            // A degenerate warpless trace still counts as a launched block.
-            let loc = Location {
-                block: grid_block,
-                warp: 0,
-                instruction: 0,
-            };
-            let entry = find(&mut blocks, empty_id, loc, 0);
-            blocks[entry].counts.blocks_launched += 1.0;
-            continue;
-        }
-        for (warp, stream) in trace.warps.iter().enumerate() {
-            let spans = segment_stream(stream);
-            let entry_loc = Location {
-                block: grid_block,
-                warp,
-                instruction: 0,
-            };
-            // Launch-structural attribution: this warp to its entry block,
-            // and (for warp 0) the thread block itself.
-            let entry = match spans.first() {
-                Some(s) => find(&mut blocks, s.id, entry_loc, s.len()),
-                None => find(&mut blocks, empty_id, entry_loc, 0),
-            };
-            blocks[entry].counts.warps_launched += 1.0;
-            if warp == 0 {
-                blocks[entry].counts.blocks_launched += 1.0;
-            }
-            for span in &spans {
-                let idx = find(
-                    &mut blocks,
-                    span.id,
-                    Location {
-                        block: grid_block,
-                        warp,
-                        instruction: span.start,
-                    },
-                    span.len(),
-                );
-                let b = &mut blocks[idx];
-                b.occurrences += 1;
-                for (i, instr) in stream[span.start..span.end].iter().enumerate() {
-                    let loc = Location {
-                        block: grid_block,
-                        warp,
-                        instruction: span.start + i,
-                    };
-                    walk_instruction(
-                        gpu,
-                        instr,
-                        loc,
-                        &mut b.counts,
-                        &mut b.shared,
-                        &mut b.loads,
-                        &mut b.stores,
-                        &mut b.divergence,
+            for (warp, stream) in trace.warps.iter().enumerate() {
+                let spans = segment_stream(stream);
+                let entry_loc = Location {
+                    block: grid_block,
+                    warp,
+                    instruction: 0,
+                };
+                // Launch-structural attribution: this warp to its entry
+                // block, and (for warp 0) the thread block itself.
+                let entry = match spans.first() {
+                    Some(s) => find(&mut blocks, s.id, entry_loc, s.len()),
+                    None => find(&mut blocks, empty_id, entry_loc, 0),
+                };
+                blocks[entry].acc.counts.warps_launched += 1.0;
+                if warp == 0 {
+                    blocks[entry].acc.counts.blocks_launched += 1.0;
+                }
+                for span in &spans {
+                    let idx = find(
+                        &mut blocks,
+                        span.id,
+                        Location {
+                            block: grid_block,
+                            warp,
+                            instruction: span.start,
+                        },
+                        span.len(),
                     );
+                    let b = &mut blocks[idx];
+                    b.occurrences += 1;
+                    for (i, instr) in stream[span.start..span.end].iter().enumerate() {
+                        let loc = Location {
+                            block: grid_block,
+                            warp,
+                            instruction: span.start + i,
+                        };
+                        walk_instruction(gpu, instr, loc, &mut b.acc, scratch);
+                    }
                 }
             }
         }
-    }
 
-    blocks.sort_by(|a, b| {
-        b.cost()
-            .partial_cmp(&a.cost())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.id.cmp(&b.id))
-    });
-    let scale = lc.grid_blocks as f64 / traces.len() as f64;
-    Ok(BlockLevelAnalysis {
-        kernel: kernel.name(),
-        scale,
-        blocks,
-    })
+        let mut blocks: Vec<BlockAttribution> = blocks
+            .into_iter()
+            .map(|b| BlockAttribution {
+                id: b.id,
+                first_seen: b.first_seen,
+                instructions: b.instructions,
+                occurrences: b.occurrences,
+                counts: b.acc.counts,
+                shared: b.acc.shared,
+                loads: b.acc.loads,
+                stores: b.acc.stores,
+                divergence: b.acc.divergence,
+            })
+            .collect();
+        blocks.sort_by(|a, b| {
+            b.cost()
+                .partial_cmp(&a.cost())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        BlockLevelAnalysis {
+            kernel: self.kernel.clone(),
+            scale: self.scale(),
+            blocks,
+        }
+    }
 }
 
 /// Application-level rollup of block attributions: the aggregates fed into

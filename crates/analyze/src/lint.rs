@@ -17,14 +17,14 @@
 use crate::attr::{self, BlockAttribution};
 use crate::diag::{self, Diagnostic, Severity};
 use crate::oracle::{self, OracleReport};
-use crate::walk::analyze_launch;
+use crate::walk::{SampledLaunch, WalkScratch};
 use crate::whatif::{self, WhatIfModel};
 use bf_kernels::matmul::matmul_application;
 use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::GpuConfig;
+use gpu_sim::{simulate_launch, GpuConfig};
 use serde::{Deserialize, Serialize};
 
 /// Options for a lint run (the stable, flag-free subset; see [`LintConfig`]
@@ -368,23 +368,37 @@ pub fn lint_applications_with(
     let mut block_aggs: Vec<BlockAgg> = Vec::new();
     let mut conservation = ConservationSummary::default();
 
+    // One scratch for every launch: the walk allocates nothing per access.
+    let mut scratch = WalkScratch::default();
     for app in apps {
         for (i, kernel) in app.launches.iter().enumerate() {
             launches += 1;
-            let a = match analyze_launch(gpu, kernel.as_ref()) {
-                Ok(a) => a,
+            let sampled = {
+                let _span = bf_trace::span!("analyze.sample");
+                SampledLaunch::new(gpu, kernel.as_ref())
+            };
+            let sampled = match sampled {
+                Ok(s) => s,
                 Err(e) => {
                     all.push(diag::malformed(&kernel.name(), i, &e));
                     continue;
                 }
             };
+            let a = {
+                let _span = bf_trace::span!("analyze.walk");
+                sampled.walk(gpu, &mut scratch)
+            };
 
             if cfg.blocks {
-                // analyze_launch validated the traces, so attribution over
-                // the same traces cannot fail.
-                let battr = attr::attribute_launch(gpu, kernel.as_ref())
-                    .expect("attribution of an analyzable launch");
-                let checks = attr::check_conservation(&battr, &a);
+                // The launch walk and the attribution walk the same traces
+                // but accumulate independently, so conservation still
+                // checks the per-block routing against the launch totals.
+                let (battr, checks) = {
+                    let _span = bf_trace::span!("analyze.attr");
+                    let battr = sampled.attribute(gpu, &mut scratch);
+                    let checks = attr::check_conservation(&battr, &a);
+                    (battr, checks)
+                };
                 conservation.launches_checked += 1;
                 conservation.counters_checked += checks.len();
                 for c in &checks {
@@ -398,7 +412,10 @@ pub fn lint_applications_with(
                     conservation.violations += failures.len();
                     all.push(diag::conservation_violation(&a.kernel, i, &failures));
                 }
-                all.extend(diag::diagnose_blocks(gpu, &a, &battr, i));
+                {
+                    let _span = bf_trace::span!("analyze.diag");
+                    all.extend(diag::diagnose_blocks(gpu, &a, &battr, i));
+                }
 
                 for b in &battr.blocks {
                     let cost = b.cost() * battr.scale;
@@ -432,6 +449,7 @@ pub fn lint_applications_with(
                     }
                 }
             } else {
+                let _span = bf_trace::span!("analyze.diag");
                 all.extend(diag::diagnose(gpu, &a, i));
             }
 
@@ -467,7 +485,7 @@ pub fn lint_applications_with(
             }
 
             if cfg.oracle {
-                match oracle::check_launch(gpu, kernel.as_ref(), i) {
+                match simulate_launch(gpu, kernel.as_ref()).map(|d| oracle::compare(&a, &d, i)) {
                     Ok(r) => {
                         if r.divergent() {
                             let detail: Vec<String> = r
@@ -509,6 +527,7 @@ pub fn lint_applications_with(
     // What-if pricing: re-derive static counters under each applicable fix
     // and push both vectors through the model.
     let what_if = cfg.what_if.map(|model| {
+        let _span = bf_trace::span!("analyze.whatif");
         let mut entries: Vec<WhatIfEntry> = Vec::new();
         for (i, app) in apps.iter().enumerate() {
             let Some(app_chars) = chars.get(i) else {
@@ -1030,6 +1049,40 @@ mod tests {
         for w in entries.windows(2) {
             assert!(w[0].delta_ms >= w[1].delta_ms);
         }
+    }
+
+    #[test]
+    fn each_layer_is_a_span_under_the_caller() {
+        let cfg = LintConfig {
+            quick: true,
+            oracle: false,
+            blocks: true,
+            what_if: Some(&CounterSumModel),
+        };
+        let ((report, root), trace) = bf_trace::capture(|| {
+            let span = bf_trace::span!("lint");
+            let root = span.id();
+            (lint_workload_with(&fermi(), "reduce1", &cfg).unwrap(), root)
+        });
+        assert!(root.is_some());
+        // Counting only children of this test's root keeps spans from
+        // concurrently running tests out of the tally.
+        let count = |name: &str| {
+            trace
+                .spans
+                .iter()
+                .filter(|s| s.name == name && s.parent == root)
+                .count()
+        };
+        for layer in [
+            "analyze.sample",
+            "analyze.walk",
+            "analyze.attr",
+            "analyze.diag",
+        ] {
+            assert_eq!(count(layer), report.launches, "{layer}");
+        }
+        assert_eq!(count("analyze.whatif"), 1);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! the roofline classification instead uses a documented no-cache upper bound
 //! on DRAM read traffic.
 
+use gpu_sim::banks::{self, BankScratch};
 use gpu_sim::occupancy::{occupancy, Occupancy};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
-use gpu_sim::{banks, coalesce, sample_block_ids, GpuConfig, Result};
+use gpu_sim::trace::{BlockTrace, KernelTrace, LaneMask, LaunchConfig, WarpInstruction};
+use gpu_sim::{coalesce, sample_block_ids, GpuConfig, Result};
 use serde::Serialize;
 
 /// Where in a kernel an interesting access lives: sampled block id, warp
@@ -356,75 +357,143 @@ impl StaticLaunchAnalysis {
 /// Traces are validated before walking, so malformed kernels fail with the
 /// same `BadTrace` errors the simulator raises.
 pub fn analyze_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<StaticLaunchAnalysis> {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc)?;
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    for t in &traces {
-        t.validate()?;
-    }
-
-    let mut counts = StaticCounts::default();
-    let mut shared = SharedConflictSummary::default();
-    let mut loads = CoalescingSummary::default();
-    let mut stores = CoalescingSummary::default();
-    let mut divergence = DivergenceSummary::default();
-    loads.worst_efficiency = 1.0;
-    stores.worst_efficiency = 1.0;
-
-    counts.blocks_launched = traces.len() as f64;
-    for (trace, &block) in traces.iter().zip(&ids) {
-        counts.warps_launched += trace.warps.len() as f64;
-        for (warp, stream) in trace.warps.iter().enumerate() {
-            for (i, instr) in stream.iter().enumerate() {
-                let loc = Location {
-                    block,
-                    warp,
-                    instruction: i,
-                };
-                walk_instruction(
-                    gpu,
-                    instr,
-                    loc,
-                    &mut counts,
-                    &mut shared,
-                    &mut loads,
-                    &mut stores,
-                    &mut divergence,
-                );
-            }
-        }
-    }
-
-    let scale = lc.grid_blocks as f64 / traces.len() as f64;
-    Ok(StaticLaunchAnalysis {
-        kernel: kernel.name(),
-        launch: lc,
-        occupancy: occ,
-        sampled_blocks: ids,
-        scale,
-        counts: counts.scaled(scale),
-        shared,
-        loads,
-        stores,
-        divergence,
-    })
+    Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu, &mut WalkScratch::default()))
 }
 
-/// Applies the `simulate_sm` counting rules to one instruction. Kept in one
-/// match so a drift against `gpu_sim::sm` is a one-screen diff (and the
-/// differential oracle catches it anyway).
-#[allow(clippy::too_many_arguments)]
+/// One launch's sampled block traces: the prologue the launch walk and the
+/// per-block attribution ([`crate::attr`]) share, so a caller that wants
+/// both generates and validates the traces once.
+pub(crate) struct SampledLaunch {
+    /// Kernel name.
+    pub kernel: String,
+    /// The launch configuration.
+    pub launch: LaunchConfig,
+    /// Theoretical occupancy and its limiter.
+    pub occupancy: Occupancy,
+    /// The representative block ids, in walk order.
+    pub ids: Vec<usize>,
+    /// The validated trace of each id in `ids`.
+    pub traces: Vec<BlockTrace>,
+}
+
+impl SampledLaunch {
+    /// Samples the blocks the dynamic engine would
+    /// ([`gpu_sim::sample_block_ids`] with the occupancy-derived resident
+    /// count), generates their traces and validates them.
+    pub fn new(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledLaunch> {
+        let launch = kernel.launch_config();
+        let occupancy = occupancy(gpu, &launch)?;
+        let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
+        let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+        for t in &traces {
+            t.validate()?;
+        }
+        Ok(SampledLaunch {
+            kernel: kernel.name(),
+            launch,
+            occupancy,
+            ids,
+            traces,
+        })
+    }
+
+    /// Grid scaling factor: grid blocks per sampled block.
+    pub fn scale(&self) -> f64 {
+        self.launch.grid_blocks as f64 / self.traces.len() as f64
+    }
+
+    /// The launch-level counting walk over the sampled traces.
+    pub fn walk(&self, gpu: &GpuConfig, scratch: &mut WalkScratch) -> StaticLaunchAnalysis {
+        let mut acc = Accumulator::default();
+        acc.counts.blocks_launched = self.traces.len() as f64;
+        for (trace, &block) in self.traces.iter().zip(&self.ids) {
+            acc.counts.warps_launched += trace.warps.len() as f64;
+            for (warp, stream) in trace.warps.iter().enumerate() {
+                for (i, instr) in stream.iter().enumerate() {
+                    let loc = Location {
+                        block,
+                        warp,
+                        instruction: i,
+                    };
+                    walk_instruction(gpu, instr, loc, &mut acc, scratch);
+                }
+            }
+        }
+
+        let scale = self.scale();
+        StaticLaunchAnalysis {
+            kernel: self.kernel.clone(),
+            launch: self.launch,
+            occupancy: self.occupancy,
+            sampled_blocks: self.ids.clone(),
+            scale,
+            counts: acc.counts.scaled(scale),
+            shared: acc.shared,
+            loads: acc.loads,
+            stores: acc.stores,
+            divergence: acc.divergence,
+        }
+    }
+}
+
+/// What the walk accumulates over a set of instructions: unscaled event
+/// counts plus the bank-conflict, coalescing and divergence profiles.
+#[derive(Debug)]
+pub(crate) struct Accumulator {
+    pub counts: StaticCounts,
+    pub shared: SharedConflictSummary,
+    pub loads: CoalescingSummary,
+    pub stores: CoalescingSummary,
+    pub divergence: DivergenceSummary,
+}
+
+impl Default for Accumulator {
+    fn default() -> Self {
+        let mut acc = Accumulator {
+            counts: StaticCounts::default(),
+            shared: SharedConflictSummary::default(),
+            loads: CoalescingSummary::default(),
+            stores: CoalescingSummary::default(),
+            divergence: DivergenceSummary::default(),
+        };
+        acc.loads.worst_efficiency = 1.0;
+        acc.stores.worst_efficiency = 1.0;
+        acc
+    }
+}
+
+/// Caller-owned buffers the walk reuses from one access to the next, so
+/// counting a launch allocates nothing per instruction.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    banks: BankScratch,
+    segments: Vec<u64>,
+}
+
+impl WalkScratch {
+    /// Number of unique `segment`-byte transactions covering an access.
+    fn segments(&mut self, addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> usize {
+        coalesce::coalesce_into(addrs, width, mask, segment, &mut self.segments);
+        self.segments.len()
+    }
+}
+
+/// Applies the `simulate_sm` counting rules to one instruction, adding its
+/// events to `acc`. Kept in one match so a drift against `gpu_sim::sm` is a
+/// one-screen diff (and the differential oracle catches it anyway).
+///
+/// Uses the allocation-free primitives the SoA engine uses
+/// ([`banks::conflict_degree_scratch`], [`coalesce::coalesce_into`]) over
+/// `scratch`; `gpu_sim::sm` keeps the allocating ones as the reference, and
+/// `gpu-sim`'s `static_primitives` tests pin that the two agree.
 pub(crate) fn walk_instruction(
     gpu: &GpuConfig,
     instr: &WarpInstruction,
     loc: Location,
-    counts: &mut StaticCounts,
-    shared: &mut SharedConflictSummary,
-    loads: &mut CoalescingSummary,
-    stores: &mut CoalescingSummary,
-    divergence: &mut DivergenceSummary,
+    acc: &mut Accumulator,
+    scratch: &mut WalkScratch,
 ) {
+    let counts = &mut acc.counts;
     let lanes = instr.active_lanes() as f64;
     match instr {
         WarpInstruction::Alu { count, mask: _ } => {
@@ -443,6 +512,7 @@ pub(crate) fn walk_instruction(
             counts.alu_thread_ops += lanes;
         }
         WarpInstruction::Branch { divergent, .. } => {
+            let divergence = &mut acc.divergence;
             counts.inst_executed += 1.0;
             counts.branch += 1.0;
             counts.thread_inst_executed += lanes;
@@ -468,12 +538,13 @@ pub(crate) fn walk_instruction(
             width,
             mask,
         } => {
-            let degree = banks::conflict_degree(
+            let degree = banks::conflict_degree_scratch(
                 offsets,
                 *width,
                 *mask,
                 gpu.shared_banks as u32,
                 gpu.bank_width as u32,
+                &mut scratch.banks,
             );
             let r = (degree - 1) as f64;
             counts.inst_executed += 1.0;
@@ -486,6 +557,7 @@ pub(crate) fn walk_instruction(
                 counts.shared_store += 1.0;
                 counts.shared_store_replay += r;
             }
+            let shared = &mut acc.shared;
             shared.accesses += 1;
             if degree >= 2 {
                 shared.conflicted += 1;
@@ -506,13 +578,25 @@ pub(crate) fn walk_instruction(
             // Pascal/Volta L1s — uses 32B sectors (matching the dynamic
             // transaction counter).
             let segment = gpu.load_segment_bytes();
-            let ntrans = coalesce::coalesce(addrs, *width, *mask, segment).len();
+            let ntrans = scratch.segments(addrs, *width, *mask, segment);
             counts.global_load_transactions += ntrans as f64;
             counts.inst_issued += (ntrans as f64).max(1.0);
             counts.load_traffic_bytes += (ntrans as u64 * segment as u64) as f64;
-            let sectors = coalesce::coalesce(addrs, *width, *mask, 32).len();
+            // On the sector paths the load's transactions already are the
+            // 32B sectors of the DRAM bound.
+            let sectors = if segment == 32 {
+                ntrans
+            } else {
+                scratch.segments(addrs, *width, *mask, 32)
+            };
             counts.dram_read_bytes_bound += (sectors * 32) as f64;
-            record_access(loads, loc, requested, ntrans as u64, segment as u64);
+            record_access(
+                &mut acc.loads,
+                loc,
+                requested,
+                ntrans as u64,
+                segment as u64,
+            );
         }
         WarpInstruction::StoreGlobal { addrs, width, mask } => {
             let requested = coalesce::requested_bytes(*width, *mask);
@@ -520,14 +604,14 @@ pub(crate) fn walk_instruction(
             counts.gst_requested_bytes += requested as f64;
             counts.inst_executed += 1.0;
             counts.thread_inst_executed += lanes;
-            let sectors = coalesce::coalesce(addrs, *width, *mask, 32).len();
+            let sectors = scratch.segments(addrs, *width, *mask, 32);
             counts.l2_write_transactions += sectors as f64;
             counts.dram_write_transactions += sectors as f64;
             counts.store_traffic_bytes += (sectors * 32) as f64;
-            let store_trans = coalesce::coalesce(addrs, *width, *mask, 128).len();
+            let store_trans = scratch.segments(addrs, *width, *mask, 128);
             counts.global_store_transactions += store_trans as f64;
             counts.inst_issued += (store_trans as f64).max(1.0);
-            record_access(stores, loc, requested, sectors as u64, 32);
+            record_access(&mut acc.stores, loc, requested, sectors as u64, 32);
         }
         WarpInstruction::Barrier => {
             counts.inst_executed += 1.0;
@@ -646,6 +730,48 @@ mod tests {
         assert_eq!(a.counts.l2_write_transactions, grid);
         assert!((a.store_efficiency() - 4.0 / 32.0).abs() < 1e-12);
         assert!((a.load_efficiency() - 1.0).abs() < 1e-12);
+    }
+
+    fn json(v: &impl Serialize) -> String {
+        serde_json::to_string(v).expect("analysis serializes")
+    }
+
+    /// Lint samples each launch once and runs both passes over the traces
+    /// with one scratch reused across the whole sweep; that must serialize
+    /// byte-equal to the public entry points, which sample afresh and start
+    /// from empty scratch every launch.
+    #[test]
+    fn sampled_passes_with_reused_scratch_match_the_public_entry_points() {
+        let mut launches = 0;
+        for gpu in [GpuConfig::gtx580(), GpuConfig::v100()] {
+            let mut scratch = WalkScratch::default();
+            for workload in ["reduce1", "nw"] {
+                for app in crate::lint::workload_sweep(workload, true).unwrap() {
+                    for kernel in &app.launches {
+                        let kernel = kernel.as_ref();
+                        let sampled = SampledLaunch::new(&gpu, kernel).unwrap();
+                        let walked = sampled.walk(&gpu, &mut scratch);
+                        let attributed = sampled.attribute(&gpu, &mut scratch);
+                        assert_eq!(
+                            json(&walked),
+                            json(&analyze_launch(&gpu, kernel).unwrap()),
+                            "{} walk on {}",
+                            walked.kernel,
+                            gpu.name
+                        );
+                        assert_eq!(
+                            json(&attributed),
+                            json(&crate::attr::attribute_launch(&gpu, kernel).unwrap()),
+                            "{} attribution on {}",
+                            walked.kernel,
+                            gpu.name
+                        );
+                        launches += 1;
+                    }
+                }
+            }
+        }
+        assert!(launches > 0);
     }
 
     #[test]

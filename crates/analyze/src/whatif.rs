@@ -16,7 +16,7 @@
 //! selected-counter row before the forest prediction.
 
 use crate::diag;
-use crate::walk::{analyze_launch, StaticCounts, StaticLaunchAnalysis};
+use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis, WalkScratch};
 use bf_kernels::Application;
 use gpu_sim::profiler::counter_on;
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
@@ -235,21 +235,24 @@ fn analyze_all(
     app: &Application,
     fix: Option<Fix>,
 ) -> Result<Vec<StaticLaunchAnalysis>> {
+    let mut scratch = WalkScratch::default();
     app.launches
         .iter()
         .enumerate()
         .map(|(i, k)| {
-            let r = match fix {
-                Some(fix) => analyze_launch(
+            let sampled = match fix {
+                Some(fix) => SampledLaunch::new(
                     gpu,
                     &FixedKernel {
                         inner: k.as_ref(),
                         fix,
                     },
                 ),
-                None => analyze_launch(gpu, k.as_ref()),
+                None => SampledLaunch::new(gpu, k.as_ref()),
             };
-            r.map_err(|e| e.in_kernel(&k.name(), i))
+            sampled
+                .map(|s| s.walk(gpu, &mut scratch))
+                .map_err(|e| e.in_kernel(&k.name(), i))
         })
         .collect()
 }
@@ -299,6 +302,7 @@ pub fn whatif_scenarios(gpu: &GpuConfig, app: &Application) -> Result<Vec<WhatIf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::analyze_launch;
     use bf_kernels::reduce::{reduce_application, ReduceVariant};
     use gpu_sim::simulate_launch;
 

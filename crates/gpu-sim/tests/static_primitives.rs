@@ -3,10 +3,14 @@
 //!
 //! These are the contracts the differential oracle leans on — if a refactor
 //! bends any of them, the static and dynamic paths drift apart silently, so
-//! they are pinned here independently of either consumer.
+//! they are pinned here independently of either consumer. The static walk
+//! and the SoA engine use the allocation-free primitives
+//! (`conflict_degree_scratch`, `coalesce_into`) while `sm.rs` keeps the
+//! allocating ones, so the oracle's independence rests on the two agreeing
+//! — including when one scratch buffer is reused access after access.
 
-use gpu_sim::banks::{conflict_degree, replays};
-use gpu_sim::coalesce::{coalesce, requested_bytes};
+use gpu_sim::banks::{conflict_degree, conflict_degree_scratch, replays, BankScratch};
+use gpu_sim::coalesce::{coalesce, coalesce_into, requested_bytes};
 use gpu_sim::occupancy::{occupancy, OccupancyLimiter};
 use gpu_sim::trace::LaunchConfig;
 use gpu_sim::GpuConfig;
@@ -14,6 +18,57 @@ use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One `BankScratch` reused over a whole access sequence gives the
+    /// allocating `conflict_degree` for every access: per-bank counts left
+    /// over from an earlier access (or an earlier bank count) would show.
+    #[test]
+    fn reused_bank_scratch_matches_conflict_degree(
+        accesses in prop::collection::vec(
+            (
+                prop::collection::vec(0u32..8192, 32),
+                prop_oneof![Just(4u8), Just(8u8)],
+                any::<u32>(),
+                prop_oneof![Just(16u32), Just(32u32)],
+                prop_oneof![Just(4u32), Just(8u32)],
+            ),
+            1..24,
+        ),
+    ) {
+        let mut scratch = BankScratch::new();
+        for (i, (offsets, width, mask, banks, bank_width)) in accesses.iter().enumerate() {
+            let reused = conflict_degree_scratch(
+                offsets, *width, *mask, *banks, *bank_width, &mut scratch,
+            );
+            let reference = conflict_degree(offsets, *width, *mask, *banks, *bank_width);
+            prop_assert_eq!(reused, reference, "access {} diverged", i);
+        }
+    }
+
+    /// One output buffer reused over a whole access sequence gives
+    /// `coalesce`'s transaction addresses for every access.
+    #[test]
+    fn reused_coalesce_buffer_matches_coalesce(
+        accesses in prop::collection::vec(
+            (
+                prop::collection::vec(0u64..(1 << 16), 32),
+                prop_oneof![Just(1u8), Just(4u8), Just(8u8)],
+                any::<u32>(),
+                prop_oneof![Just(32u32), Just(128u32)],
+            ),
+            1..24,
+        ),
+    ) {
+        let mut out = Vec::new();
+        for (i, (addrs, width, mask, segment)) in accesses.iter().enumerate() {
+            coalesce_into(addrs, *width, *mask, *segment, &mut out);
+            let reference: Vec<u64> = coalesce(addrs, *width, *mask, *segment)
+                .iter()
+                .map(|t| t.addr)
+                .collect();
+            prop_assert_eq!(&out, &reference, "access {} diverged", i);
+        }
+    }
 
     /// Every byte an active lane requests is covered by exactly one
     /// transaction: transactions are segment-aligned, strictly ascending
