@@ -38,7 +38,7 @@ COMMANDS:
     train    --workload W --save BUNDLE.json [--gpu NAME] [--quick]
     serve    --model BUNDLE.json [--shadow BUNDLE.json] [--admin]
              [--addr HOST:PORT] [--threads N] [--cache-size N]
-             [--mode event-loop|threads] [--max-queue N] [--batch-window USEC]
+             [--max-queue N] [--batch-window USEC]
     models   [--addr HOST:PORT]  query a running server's model registry
     predict  --size N (--model BUNDLE.json | --workload W) [--gpu NAME] [--quick]
     hwscale  --workload W [--target NAME] [--quick] [--out FILE]
@@ -71,10 +71,6 @@ OPTIONS:
     --addr H:P      serve listen address (default 127.0.0.1:7878);
                     for models: the server to query
     --cache-size N  serve prediction-LRU capacity in entries (default 4096)
-    --mode M        serving engine: event-loop (nonblocking epoll with
-                    keep-alive, pipelining, and adaptive micro-batching;
-                    default on Linux) or threads (legacy blocking pool,
-                    default elsewhere)
     --max-queue N   serve admission bound on in-flight predictions; excess
                     concurrent requests get 429 + Retry-After (default 1024)
     --batch-window USEC  how long the event-loop workers wait to coalesce
@@ -102,7 +98,7 @@ OPTIONS:
     --split-strategy S   forest split search: histogram (default) or exact
     --max-bins N    histogram bin ceiling per feature, 2..=65536 (default 256)
     --threads N     worker threads: simulation workers during collection,
-                    HTTP workers for serve (default: all cores)
+                    prediction workers for serve (default: all cores)
     --no-sim-cache  disable the launch-memoization cache (always re-simulate)
     --sim-cache-dir D   persist simulated launch results in directory D and
                     reuse them across runs (D may be `auto` for
@@ -151,7 +147,6 @@ struct Args {
     target: Option<String>,
     addr: Option<String>,
     cache_size: Option<usize>,
-    serve_mode: Option<String>,
     max_queue: Option<usize>,
     batch_window_us: Option<u64>,
     quick: bool,
@@ -204,7 +199,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         target: None,
         addr: None,
         cache_size: None,
-        serve_mode: None,
         max_queue: None,
         batch_window_us: None,
         quick: false,
@@ -243,7 +237,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.cache_size = Some(n);
             }
-            "--mode" => args.serve_mode = Some(it.next().ok_or("--mode needs a value")?.clone()),
             "--max-queue" => {
                 let n: usize = it
                     .next()
@@ -589,11 +582,6 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
             let addr = args.addr.clone().unwrap_or_else(|| "127.0.0.1:7878".into());
             // Validate eagerly so a bad --addr fails before we advertise.
             bf_serve::parse_addr(&addr)?;
-            let mode = match args.serve_mode.as_deref() {
-                None => bf_serve::ServeMode::default(),
-                Some(name) => bf_serve::ServeMode::from_name(name)
-                    .ok_or_else(|| format!("unknown --mode {name}; use event-loop or threads"))?,
-            };
             let config = ServeConfig {
                 threads: args.threads.unwrap_or_else(|| {
                     std::thread::available_parallelism()
@@ -601,7 +589,6 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
                         .unwrap_or(1)
                 }),
                 cache_capacity: args.cache_size.unwrap_or(4096),
-                mode,
                 max_queue: args.max_queue.unwrap_or(1024),
                 batch_window: std::time::Duration::from_micros(args.batch_window_us.unwrap_or(0)),
                 admin: args.admin,
@@ -646,10 +633,9 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
             let local = server.local_addr();
             println!(
                 "serving {workload_name} ({gpu_name}) bundle {} ({:016x}) on http://{local}  \
-                 [{} engine, {} workers, cache {}, queue {}{}]",
+                 [event-loop engine, {} workers, cache {}, queue {}{}]",
                 path.display(),
                 id,
-                config.mode.name(),
                 config.threads,
                 config.cache_capacity,
                 config.max_queue,

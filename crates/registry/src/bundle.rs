@@ -12,6 +12,7 @@
 use blackforest::bottleneck::BottleneckReport;
 use blackforest::predict::ProblemScalingPredictor;
 use blackforest::toolchain::{AnalysisReport, Workload};
+use blackforest::BfError;
 use gpu_sim::GpuConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -227,12 +228,25 @@ impl ModelBundle {
     }
 
     /// Runs the prediction chain: characteristics → per-counter predictions
-    /// → execution time. Identical to the in-memory
-    /// [`ProblemScalingPredictor::predict`] (the time comes from the same
-    /// call), with the intermediate counter predictions exposed.
+    /// → execution time. Bit-identical to the in-memory
+    /// [`ProblemScalingPredictor::predict`]: the counter models run once,
+    /// and the reduced forest prices that same row, which is also exposed
+    /// as the per-counter predictions.
     pub fn predict(&self, chars: &[f64]) -> Result<Prediction, String> {
-        let predicted_ms = self.predictor.predict(chars).map_err(|e| e.to_string())?;
+        let want = self.predictor.counters.characteristics.len();
+        if chars.len() != want {
+            return Err(BfError::Data(format!(
+                "expected {want} characteristics, got {}",
+                chars.len()
+            ))
+            .to_string());
+        }
         let values = self.predictor.counters.predict(chars);
+        let predicted_ms = self
+            .predictor
+            .model
+            .predict_selected(&values)
+            .map_err(|e| e.to_string())?;
         let counters = self
             .predictor
             .counters
@@ -340,7 +354,16 @@ mod tests {
             let p = back.predict(&chars).unwrap();
             let direct = report.predictor.predict(&chars).unwrap();
             assert_eq!(p.predicted_ms.to_bits(), direct.to_bits());
+            let counters = report.predictor.counters.predict(&chars);
+            assert_eq!(p.counters.len(), counters.len());
+            for ((_, got), want) in p.counters.iter().zip(&counters) {
+                assert_eq!(got.to_bits(), want.to_bits());
+            }
         }
+        // A wrong-arity query fails with the in-memory predictor's message.
+        let short = back.predict(&[]).unwrap_err();
+        let direct = report.predictor.predict(&[]).unwrap_err().to_string();
+        assert_eq!(short, direct);
         std::fs::remove_file(path).ok();
     }
 

@@ -14,14 +14,6 @@
 //!   between 0 and 2.7, except `inst_replay_overhead` … as large as 203").
 //! * [`mars`] — Friedman's MARS: forward selection of hinge-function pairs,
 //!   then backward pruning on the generalized cross-validation (GCV) score.
-//!
-//! Two *baseline* learners round out the crate so the paper's comparative
-//! claims can be tested empirically (see the `ablation_baselines` bench):
-//!
-//! * [`stepwise`] — Stargazer-style stepwise linear regression (§2's
-//!   "less powerful statistical models"), and
-//! * [`mlp`] — a single-hidden-layer neural network (§1 cites RF beating
-//!   SVMs and neural networks "especially for scarce training data").
 
 // Index-based loops are the clearer idiom throughout this numeric code
 // (parallel arrays, in-place matrix updates), so the pedantic lint is off.
@@ -29,13 +21,9 @@
 
 pub mod glm;
 pub mod mars;
-pub mod mlp;
-pub mod stepwise;
 
 pub use glm::{Basis, LinearModel, PolynomialModel};
 pub use mars::{Mars, MarsParams};
-pub use mlp::{MlpParams, MlpRegressor};
-pub use stepwise::{StepwiseModel, StepwiseParams};
 
 /// Errors produced by the regression fitters.
 #[derive(Debug, Clone, PartialEq)]

@@ -5,11 +5,10 @@
 
 use bf_regress::glm::{Basis, LinearModel};
 use bf_regress::mars::{Mars, MarsParams};
-use bf_regress::stepwise::{StepwiseModel, StepwiseParams};
 use serde::{Deserialize, Serialize};
 
 /// Deterministic two-feature training data with curvature and a kink, so
-/// GLM, MARS, and stepwise all produce non-trivial fits.
+/// GLM and MARS both produce non-trivial fits.
 fn training_data() -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut x = Vec::new();
     let mut y = Vec::new();
@@ -85,22 +84,10 @@ fn mars_round_trips_bit_identical() {
 }
 
 #[test]
-fn stepwise_round_trips_bit_identical() {
-    let (x, y) = training_data();
-    let model = StepwiseModel::fit(&x, &y, &StepwiseParams::default()).expect("stepwise fit");
-    assert_bit_identical("StepwiseModel", &model, |m, row| m.predict_row(row));
-}
-
-#[test]
 fn params_round_trip_exactly() {
     let mars = MarsParams::default();
     let back: MarsParams = serde_json::from_str(&serde_json::to_string(&mars).unwrap()).unwrap();
     assert_eq!(mars, back);
-
-    let step = StepwiseParams::default();
-    let back: StepwiseParams =
-        serde_json::from_str(&serde_json::to_string(&step).unwrap()).unwrap();
-    assert_eq!(step, back);
 }
 
 /// Recursively asserts a serialized value tree carries no `Null` leaf. The

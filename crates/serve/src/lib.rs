@@ -15,14 +15,14 @@
 //!   `GET /healthz`, `GET /readyz`, `GET /metrics`, the registry
 //!   inventory at `GET /v1/models`, the shadow divergence report at
 //!   `GET /v1/models/shadow/report`, and the opt-in admin API
-//!   (`POST /v1/models/load|unload|alias`). Two engines share the handler
-//!   stack: the default nonblocking epoll event loop (Linux; keep-alive,
-//!   pipelining, adaptive micro-batching, bounded admission with fast 429s,
-//!   graceful drain) and the legacy blocking thread pool
-//!   ([`server::ServeMode::Threads`]), kept as a portable fallback and as
-//!   the baseline for `bench_serve`. No new dependencies: the whole stack
-//!   is `std` + the already-vendored serde (epoll is reached through a
-//!   local `extern "C"` shim against the libc `std` already links).
+//!   (`POST /v1/models/load|unload|alias`). The engine is a nonblocking
+//!   epoll event loop with keep-alive, pipelining, adaptive
+//!   micro-batching, bounded admission with fast 429s and graceful drain.
+//!   It is Linux-only: on other targets the crate still compiles, so the
+//!   rest of the workspace builds, but [`PredictServer::bind`] returns an
+//!   error naming the platform. No new dependencies: the whole stack is
+//!   `std` + the already-vendored serde (epoll is reached through a local
+//!   `extern "C"` shim against the libc `std` already links).
 //! * [`bf_registry`] (re-exported here) — the concurrent model registry:
 //!   N loaded [`ModelBundle`]s addressed by content id and mutable
 //!   aliases, epoch-validated lock-free reads, zero-downtime hot swap
@@ -42,6 +42,10 @@
 //! [`blackforest::predict::ProblemScalingPredictor::predict`] calls: the
 //! bundle stores the same structs the trainer produced, serialized through
 //! exact round-trip float encoding.
+
+// Off Linux the engine is compiled out and `bind` refuses, so the handler
+// stack it drives is unused there.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 #[cfg(target_os = "linux")]
 mod eventloop;

@@ -1,17 +1,10 @@
-//! The prediction server, in two interchangeable engines:
-//!
-//! * [`ServeMode::EventLoop`] (default on Linux) — a nonblocking,
-//!   readiness-driven event loop (`epoll`) with per-connection incremental
-//!   parsers, HTTP/1.1 keep-alive and pipelining, a bounded admission queue
-//!   (fast `429 Too Many Requests` + `Retry-After` when full), and adaptive
-//!   micro-batching: concurrent `/predict` requests are coalesced into one
-//!   forest pass. See [`crate::eventloop`].
-//! * [`ServeMode::Threads`] — the original bounded worker-thread pool over
-//!   blocking reads. Kept as the comparison baseline for `bench_serve` and
-//!   as the fallback on non-Linux hosts.
-//!
-//! Both engines share the same routing, validation, prediction, metrics,
-//! and cache code in this module, so their responses are byte-identical.
+//! The prediction server: a nonblocking, readiness-driven event loop
+//! (`epoll`, Linux only) with per-connection incremental parsers, HTTP/1.1
+//! keep-alive and pipelining, a bounded admission queue (fast
+//! `429 Too Many Requests` + `Retry-After` when full), and adaptive
+//! micro-batching: concurrent `/predict` requests are coalesced into one
+//! forest pass. See [`crate::eventloop`]. This module holds the routing,
+//! validation, prediction, metrics, and cache code the loop calls into.
 //!
 //! Since PR 8 the server fronts a [`Registry`] of N concurrently loaded
 //! bundles instead of one frozen bundle. Prediction requests resolve their
@@ -53,7 +46,7 @@
 //! `+0.0` so `-0.0` and `0.0` — equal to every tree split — share one
 //! cache entry.
 
-use crate::http::{HttpError, Request, RequestParser, Response};
+use crate::http::{Request, Response};
 use crate::lru::LruCache;
 use crate::metrics::{Metrics, Phase, Route};
 use bf_registry::bundle::{ModelBundle, Prediction};
@@ -62,76 +55,42 @@ use bf_registry::{
     AliasUpdate, LoadedModel, Registry, RegistryError, RegistryReader, Resolved, ShadowJob, Split,
 };
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Which serving engine to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The serving engine. The event loop is the only one, and nothing
+/// branches on this value. It stays because `perfbench` (the repository
+/// benchmark, built as its own workspace) still sets [`ServeConfig::mode`];
+/// the next change to perfbench removes both.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Bounded worker-thread pool over blocking reads (legacy baseline).
-    Threads,
-    /// Nonblocking epoll event loop with micro-batching (Linux; falls back
-    /// to [`ServeMode::Threads`] elsewhere).
+    /// Nonblocking epoll event loop with micro-batching.
+    #[default]
     EventLoop,
-}
-
-impl Default for ServeMode {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            ServeMode::EventLoop
-        } else {
-            ServeMode::Threads
-        }
-    }
-}
-
-impl ServeMode {
-    /// Parses a CLI-style mode name.
-    pub fn from_name(name: &str) -> Option<ServeMode> {
-        match name {
-            "threads" | "legacy" => Some(ServeMode::Threads),
-            "event-loop" | "eventloop" | "epoll" => Some(ServeMode::EventLoop),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeMode::Threads => "threads",
-            ServeMode::EventLoop => "event-loop",
-        }
-    }
 }
 
 /// Tuning knobs for [`PredictServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (connection handlers in [`ServeMode::Threads`],
-    /// prediction workers in [`ServeMode::EventLoop`]).
+    /// Prediction worker threads.
     pub threads: usize,
     /// Capacity of the prediction LRU cache (entries).
     pub cache_capacity: usize,
-    /// Per-connection read timeout ([`ServeMode::Threads`] only; the event
-    /// loop never blocks on a read).
-    pub read_timeout: Duration,
-    /// Serving engine.
+    /// Serving engine; see [`ServeMode`] for why the field remains.
     pub mode: ServeMode,
     /// Admission bound: maximum in-flight `/predict` jobs (queued plus
     /// executing). Further predictions get a fast `429` + `Retry-After`
-    /// instead of unbounded queueing. Event-loop mode only.
+    /// instead of unbounded queueing.
     pub max_queue: usize,
     /// How long a prediction worker waits for more requests to coalesce
     /// into one batched forest pass. Zero (the default) adds no artificial
     /// delay: a worker batches whatever has already queued up behind it,
     /// so batches grow naturally with backlog and stay at one row when the
     /// server is keeping up. A positive window trades first-request latency
-    /// for larger batches. Event-loop mode only.
+    /// for larger batches.
     pub batch_window: Duration,
     /// Largest micro-batch a worker will coalesce.
     pub max_batch: usize,
@@ -148,7 +107,6 @@ impl Default for ServeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             cache_capacity: 4096,
-            read_timeout: Duration::from_secs(30),
             mode: ServeMode::default(),
             max_queue: 1024,
             batch_window: Duration::ZERO,
@@ -220,8 +178,8 @@ impl ServerHandle {
     }
 
     /// Asks the server to shut down gracefully: stop accepting, finish
-    /// in-flight requests, flush, exit. The dummy connection unblocks a
-    /// blocking acceptor (threads mode) or wakes `epoll_wait` (event loop).
+    /// in-flight requests, flush, exit. The dummy connection wakes
+    /// `epoll_wait`.
     pub fn stop(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
@@ -254,11 +212,20 @@ impl PredictServer {
     /// `/predict`) until a `default` alias is published, which makes
     /// "bind the socket first, load bundles behind it" the natural
     /// zero-downtime startup order.
+    ///
+    /// The engine is built on Linux `epoll`; on any other target this
+    /// returns an error naming the platform.
     pub fn bind_registry(
         addr: &str,
         registry: Arc<Registry>,
         config: ServeConfig,
     ) -> Result<Self, String> {
+        if !cfg!(target_os = "linux") {
+            return Err(format!(
+                "bf-serve needs Linux (epoll); this build targets {}",
+                std::env::consts::OS
+            ));
+        }
         let sock_addr = parse_addr(addr)?;
         let listener =
             TcpListener::bind(sock_addr).map_err(|e| format!("bind {sock_addr}: {e}"))?;
@@ -290,69 +257,13 @@ impl PredictServer {
         }
     }
 
-    /// Runs the configured engine until [`ServerHandle::stop`]; returns
-    /// once in-flight work has drained.
+    /// Runs the event loop until [`ServerHandle::stop`]; returns once
+    /// in-flight work has drained.
     pub fn run(self) {
-        match self.config.mode {
-            ServeMode::Threads => self.run_threads(),
-            ServeMode::EventLoop => {
-                #[cfg(target_os = "linux")]
-                {
-                    crate::eventloop::run(self.listener, self.state, &self.config);
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    self.run_threads();
-                }
-            }
-        }
-    }
-
-    /// The legacy engine: a bounded worker-thread pool over blocking reads.
-    /// Accepted connections are dispatched over a bounded channel (the
-    /// acceptor blocks when all workers are busy and the backlog is full);
-    /// each worker owns a connection until it closes.
-    fn run_threads(self) {
-        let threads = self.config.threads.max(1);
-        // Bounded dispatch: at most 2 connections queued per worker.
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            std::sync::mpsc::sync_channel(threads * 2);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&self.state);
-            let timeout = self.config.read_timeout;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("bf-serve-{i}"))
-                    .spawn(move || loop {
-                        let stream = match rx.lock().unwrap().recv() {
-                            Ok(s) => s,
-                            Err(_) => break, // acceptor dropped the sender
-                        };
-                        serve_connection(stream, &state, timeout);
-                    })
-                    .expect("spawn worker"),
-            );
-        }
-        for stream in self.listener.incoming() {
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(s) => {
-                    if tx.send(s).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => continue,
-            }
-        }
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        #[cfg(target_os = "linux")]
+        crate::eventloop::run(self.listener, self.state, &self.config);
+        #[cfg(not(target_os = "linux"))]
+        unreachable!("bind_registry refuses non-Linux targets");
     }
 
     /// Runs the server on a background thread; the returned handle stops it.
@@ -382,89 +293,8 @@ pub(crate) fn next_trace_id() -> String {
     format!("bf-{:08x}-{seq:08x}", (salt ^ (salt >> 32)) as u32)
 }
 
-/// Reads the next request off a blocking buffered stream through a
-/// persistent [`RequestParser`], so pipelined bytes buffered past one
-/// request survive for the next iteration. `Ok(None)` is a clean EOF
-/// between requests.
-fn read_request_blocking<R: BufRead>(
-    parser: &mut RequestParser,
-    reader: &mut R,
-) -> Result<Option<Request>, HttpError> {
-    loop {
-        if let Some(req) = parser.next_request()? {
-            return Ok(Some(req));
-        }
-        let available = match reader.fill_buf() {
-            Ok(a) => a,
-            Err(e) => {
-                return Err(HttpError {
-                    status: 400,
-                    message: format!("read error: {e}"),
-                })
-            }
-        };
-        if available.is_empty() {
-            return if parser.has_partial() {
-                Err(HttpError {
-                    status: 400,
-                    message: "connection closed mid-request".into(),
-                })
-            } else {
-                Ok(None)
-            };
-        }
-        let n = available.len();
-        parser.push(available);
-        reader.consume(n);
-    }
-}
-
-/// Serves every request on one connection (threads mode). The connection
-/// owns a registry reader: model resolution costs one atomic epoch check
-/// per request.
-fn serve_connection(stream: TcpStream, state: &ServerState, timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = BufWriter::new(stream);
-    let mut parser = RequestParser::new();
-    let mut registry_reader = state.registry.reader();
-    loop {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let started = Instant::now();
-        let trace_id = next_trace_id();
-        let request = match read_request_blocking(&mut parser, &mut reader) {
-            Ok(Some(r)) => r,
-            Ok(None) => return, // client closed between requests
-            Err(HttpError { status, message }) => {
-                state
-                    .metrics
-                    .observe(Route::Other, status, elapsed_us(started));
-                let response =
-                    Response::error(status, &message).with_header("X-BF-Trace-Id", trace_id);
-                let _ = response.write_to(&mut writer, true);
-                return;
-            }
-        };
-        let close = request.wants_close();
-        let (route, response) = traced_handle(&request, state, &mut registry_reader, &trace_id);
-        let response = response.with_header("X-BF-Trace-Id", trace_id);
-        state
-            .metrics
-            .observe(route, response.status, elapsed_us(started));
-        if response.write_to(&mut writer, close).is_err() || close {
-            return;
-        }
-    }
-}
-
-/// Routes one request inside a `request` trace span. Shared between the
-/// thread-pool engine and the event loop's inline (non-predict) path.
+/// Routes one request inside a `request` trace span: the event loop's
+/// inline (non-predict) path.
 pub(crate) fn traced_handle(
     request: &Request,
     state: &ServerState,
@@ -582,7 +412,9 @@ pub(crate) fn resolve_predict_target(
     })
 }
 
-/// Routes one request. Returns the route label for metrics plus the answer.
+/// Routes one request that is not a `POST` to a predict path (those go to
+/// the prediction workers). Returns the route label for metrics plus the
+/// answer.
 pub(crate) fn handle_request(
     request: &Request,
     state: &ServerState,
@@ -595,18 +427,11 @@ pub(crate) fn handle_request(
     let _ = registry_reader.table();
     let method = request.method.as_str();
     let path = request.path.as_str();
-    if let Some(key) = predict_model_key(path) {
-        if method != "POST" {
-            return (
-                Route::Other,
-                Response::error(405, "method not allowed for this path"),
-            );
-        }
-        let resolved = match resolve_predict_target(path, key, registry_reader) {
-            Ok(r) => r,
-            Err(response) => return (Route::Predict, response),
-        };
-        return (Route::Predict, handle_predict(request, state, &resolved));
+    if predict_model_key(path).is_some() {
+        return (
+            Route::Other,
+            Response::error(405, "method not allowed for this path"),
+        );
     }
     match (method, path) {
         ("GET", "/bottleneck") => (Route::Bottleneck, handle_bottleneck(request, state)),
@@ -658,65 +483,11 @@ pub(crate) struct PredictItems {
 /// One queued `/predict` request, as handed to a prediction worker. The
 /// model was resolved at dispatch time: swaps concurrent with the queue
 /// wait cannot change (or mix) what this request predicts with.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 pub(crate) struct PredictJob {
     pub(crate) request: Request,
     pub(crate) started: Instant,
     pub(crate) trace_id: String,
     pub(crate) resolved: Resolved,
-}
-
-/// Handles a `/predict` request sequentially (threads mode and unit tests):
-/// the single-job case of the worker path below, with identical phase
-/// accounting.
-fn handle_predict(request: &Request, state: &ServerState, resolved: &Resolved) -> Response {
-    // Parse phase: body decode, JSON parse, query validation.
-    let parse_started = Instant::now();
-    let parsed = {
-        let _span = bf_trace::span!("parse", body_bytes = request.body.len());
-        parse_predict_items(request, &resolved.model)
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Parse, elapsed_us(parse_started));
-    let items = match parsed {
-        Ok(items) => items,
-        Err(response) => return response,
-    };
-
-    // Predict phase: cache lookups, one forest pass over the misses.
-    let predict_started = Instant::now();
-    let answered = {
-        let mut span = bf_trace::span!("predict");
-        let answered = predict_rows(state, &resolved.model, &items.rows);
-        if span.is_active() {
-            if let Ok(results) = &answered {
-                span.attr("rows", results.len() as u64);
-                span.attr("cached", results.iter().all(|(_, c)| *c));
-            }
-        }
-        answered
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Predict, elapsed_us(predict_started));
-    let results = match answered {
-        Ok(results) => results,
-        Err(msg) => return Response::error(500, &format!("prediction failed: {msg}")),
-    };
-    resolved.model.record_served(items.rows.len() as u64);
-    submit_shadow(state, resolved, &items.rows, &results);
-
-    // Serialize phase: building and encoding the answer.
-    let serialize_started = Instant::now();
-    let response = {
-        let _span = bf_trace::span!("serialize");
-        render_predictions(&resolved.model, &items, results)
-    };
-    state
-        .metrics
-        .observe_phase(Phase::Serialize, elapsed_us(serialize_started));
-    response
 }
 
 /// Replays an answered request against the resolved shadow model, off the
@@ -746,11 +517,9 @@ type JobPredictions = Result<Vec<(Prediction, bool)>, String>;
 /// Processes one micro-batch of `/predict` jobs pulled off the admission
 /// queue: every job is parsed, then the rows of jobs sharing a resolved
 /// model are coalesced into one forest pass per model, then per-job
-/// responses are rendered. Per-request metric and phase counts are
-/// identical to [`handle_predict`]; route metrics (`observe`) are recorded
-/// here too, so the event loop only ships bytes. Returns one response per
+/// responses are rendered. Route metrics (`observe`) are recorded here
+/// too, so the event loop only ships bytes. Returns one response per
 /// job, in order.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
 pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> Vec<Response> {
     // Parse every job first so the rows can be coalesced.
     let mut parsed: Vec<Result<PredictItems, Response>> = Vec::with_capacity(jobs.len());
@@ -1367,16 +1136,6 @@ mod tests {
         let e = parse_addr("not-an-addr").unwrap_err();
         assert!(e.contains("host:port"), "{e}");
         assert!(parse_addr("127.0.0.1:notaport").is_err());
-    }
-
-    #[test]
-    fn serve_mode_names_round_trip() {
-        for mode in [ServeMode::Threads, ServeMode::EventLoop] {
-            assert_eq!(ServeMode::from_name(mode.name()), Some(mode));
-        }
-        assert_eq!(ServeMode::from_name("legacy"), Some(ServeMode::Threads));
-        assert_eq!(ServeMode::from_name("epoll"), Some(ServeMode::EventLoop));
-        assert_eq!(ServeMode::from_name("tokio"), None);
     }
 
     #[test]

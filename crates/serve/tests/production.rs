@@ -6,7 +6,7 @@
 
 #![cfg(target_os = "linux")]
 
-use bf_serve::{ModelBundle, PredictServer, ServeConfig, ServeMode};
+use bf_serve::{ModelBundle, PredictServer, ServeConfig};
 use blackforest::toolchain::AnalysisReport;
 use blackforest::{BlackForest, ModelConfig, Workload};
 use gpu_sim::GpuConfig;
@@ -266,7 +266,6 @@ fn saturated_queue_answers_429_with_retry_after() {
         threads: 1,
         max_queue: 1,
         batch_window: Duration::from_millis(400),
-        mode: ServeMode::EventLoop,
         ..ServeConfig::default()
     });
     let addr = handle.addr();
@@ -320,7 +319,6 @@ fn graceful_shutdown_drains_in_flight_requests() {
     let (handle, join) = spawn_server(ServeConfig {
         threads: 1,
         batch_window: Duration::from_millis(500),
-        mode: ServeMode::EventLoop,
         ..ServeConfig::default()
     });
     let addr = handle.addr();
