@@ -7,7 +7,7 @@
 //! *residual deviance* the paper reports is exactly the residual sum of
 //! squares.
 
-use crate::{RegressError, Result};
+use crate::{check_training_set, RegressError, Result};
 use bf_linalg::{qr::least_squares, stats, Matrix};
 use serde::{Deserialize, Serialize};
 
@@ -79,16 +79,7 @@ pub struct LinearModel {
 impl LinearModel {
     /// Fits the model by least squares on row-major observations.
     pub fn fit(basis: &[Basis], x: &[Vec<f64>], y: &[f64]) -> Result<LinearModel> {
-        if x.is_empty() || y.is_empty() {
-            return Err(RegressError::BadTrainingData("empty training set".into()));
-        }
-        if x.len() != y.len() {
-            return Err(RegressError::BadTrainingData(format!(
-                "{} rows but {} responses",
-                x.len(),
-                y.len()
-            )));
-        }
+        check_training_set(x, y)?;
         if basis.is_empty() {
             return Err(RegressError::BadTrainingData("empty basis".into()));
         }
@@ -317,6 +308,23 @@ mod tests {
         let x = vec![vec![1.0]];
         assert!(LinearModel::fit(&Basis::polynomial(0, 1), &x, &[1.0, 2.0]).is_err());
         assert!(LinearModel::fit(&[], &x, &[1.0]).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_data() {
+        let basis = Basis::polynomial(0, 1);
+        let x: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64]).collect();
+        let y: Vec<f64> = (0..6).map(|i| 2.0 * i as f64).collect();
+        let mut bad_x = x.clone();
+        bad_x[2][0] = f64::NAN;
+        let mut bad_y = y.clone();
+        bad_y[4] = f64::NEG_INFINITY;
+        for (x, y) in [(&bad_x, &y), (&x, &bad_y)] {
+            assert!(matches!(
+                LinearModel::fit(&basis, x, y),
+                Err(RegressError::BadTrainingData(_))
+            ));
+        }
     }
 
     #[test]

@@ -47,3 +47,29 @@ impl std::error::Error for RegressError {}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, RegressError>;
+
+/// Rejects an empty training set, a row/response count mismatch, and any
+/// NaN or infinite input or response.
+fn check_training_set(x: &[Vec<f64>], y: &[f64]) -> Result<()> {
+    if x.is_empty() || y.is_empty() {
+        return Err(RegressError::BadTrainingData("empty training set".into()));
+    }
+    if x.len() != y.len() {
+        return Err(RegressError::BadTrainingData(format!(
+            "{} rows but {} responses",
+            x.len(),
+            y.len()
+        )));
+    }
+    if let Some(i) = x.iter().position(|r| r.iter().any(|v| !v.is_finite())) {
+        return Err(RegressError::BadTrainingData(format!(
+            "non-finite input in row {i}"
+        )));
+    }
+    if let Some(i) = y.iter().position(|v| !v.is_finite()) {
+        return Err(RegressError::BadTrainingData(format!(
+            "non-finite response in row {i}"
+        )));
+    }
+    Ok(())
+}

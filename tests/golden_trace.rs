@@ -23,7 +23,8 @@ use blackforest_suite::blackforest::{BlackForest, Workload};
 use blackforest_suite::gpu_sim::GpuConfig;
 use blackforest_suite::kernels::reduce::ReduceVariant;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+mod common;
 
 /// The CLI's `--quick` sweep for each golden workload (see
 /// `default_sizes` in `crates/cli/src/main.rs`).
@@ -84,24 +85,6 @@ fn golden_section(workload: Workload) -> String {
     out
 }
 
-/// First differing line between expected and actual, rendered for humans.
-fn first_diff(expected: &str, actual: &str) -> String {
-    let mut exp = expected.lines();
-    let mut act = actual.lines();
-    let mut line_no = 1usize;
-    loop {
-        match (exp.next(), act.next()) {
-            (Some(e), Some(a)) if e == a => line_no += 1,
-            (Some(e), Some(a)) => {
-                return format!("line {line_no}:\n  expected: {e}\n  actual:   {a}")
-            }
-            (Some(e), None) => return format!("line {line_no}: actual ends, expected: {e}"),
-            (None, Some(a)) => return format!("line {line_no}: expected ends, actual: {a}"),
-            (None, None) => return "no textual difference (check trailing whitespace)".into(),
-        }
-    }
-}
-
 #[test]
 fn quick_pipeline_trace_and_predictions_match_golden() {
     // One worker: cache hit/miss order — and therefore the counter values
@@ -118,29 +101,5 @@ fn quick_pipeline_trace_and_predictions_match_golden() {
 
     std::env::remove_var("RAYON_NUM_THREADS");
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("pipeline_trace.txt");
-    if std::env::var_os("BF_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!("golden file regenerated: {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with BF_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "pipeline trace drifted from {}.\nFirst difference at {}\n\n\
-         If the change is intentional, regenerate with:\n    \
-         BF_UPDATE_GOLDEN=1 cargo test --test golden_trace\n\n\
-         full actual output:\n{actual}",
-        path.display(),
-        first_diff(&expected, &actual),
-    );
+    common::check_golden("pipeline_trace.txt", "golden_trace", &actual);
 }

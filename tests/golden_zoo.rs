@@ -20,7 +20,8 @@
 use blackforest_suite::gpu_sim::{profile_kernel, GpuConfig};
 use blackforest_suite::kernels::reduce::{reduce_application, ReduceVariant};
 use std::fmt::Write as _;
-use std::path::PathBuf;
+
+mod common;
 
 /// Renders one preset's machine-metric table, one `name = value` row per
 /// metric in catalog order, with exact bits for the float-valued rows.
@@ -69,24 +70,6 @@ fn reduce1_section(gpu: &GpuConfig) -> String {
     out
 }
 
-/// First differing line between expected and actual, rendered for humans.
-fn first_diff(expected: &str, actual: &str) -> String {
-    let mut exp = expected.lines();
-    let mut act = actual.lines();
-    let mut line_no = 1usize;
-    loop {
-        match (exp.next(), act.next()) {
-            (Some(e), Some(a)) if e == a => line_no += 1,
-            (Some(e), Some(a)) => {
-                return format!("line {line_no}:\n  expected: {e}\n  actual:   {a}")
-            }
-            (Some(e), None) => return format!("line {line_no}: actual ends, expected: {e}"),
-            (None, Some(a)) => return format!("line {line_no}: expected ends, actual: {a}"),
-            (None, None) => return "no textual difference (check trailing whitespace)".into(),
-        }
-    }
-}
-
 #[test]
 fn zoo_presets_and_per_arch_counter_vectors_match_golden() {
     let mut actual = String::from(
@@ -102,29 +85,5 @@ fn zoo_presets_and_per_arch_counter_vectors_match_golden() {
         actual.push_str(&reduce1_section(&gpu));
     }
 
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("zoo_presets.txt");
-    if std::env::var_os("BF_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
-        eprintln!("golden file regenerated: {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read golden file {} ({e}); run with BF_UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "zoo snapshot drifted from {}.\nFirst difference at {}\n\n\
-         If the change is intentional, regenerate with:\n    \
-         BF_UPDATE_GOLDEN=1 cargo test --test golden_zoo\n\n\
-         full actual output:\n{actual}",
-        path.display(),
-        first_diff(&expected, &actual),
-    );
+    common::check_golden("zoo_presets.txt", "golden_zoo", &actual);
 }
