@@ -1,12 +1,12 @@
 //! Per-basic-block counter attribution with a hard conservation invariant.
 //!
 //! [`crate::walk::analyze_launch`] blames whole launches; this module splits
-//! the same walk by basic block. Each warp stream is segmented at
-//! `Branch`/`Barrier` boundaries ([`gpu_sim::blocks`]), every instruction's
-//! contribution is routed to its block's accumulator using the *identical*
-//! counting rules (`walk_instruction` is shared, not re-implemented), and
-//! occurrences of the same code region — identified by the content-derived
-//! block id — merge across warps and sampled thread blocks.
+//! the same fold by basic block. Each warp stream is segmented at
+//! `Branch`/`Barrier` boundaries ([`gpu_sim::blocks`]), the compiled op of
+//! every instruction is folded into its block's accumulator by the same
+//! `fold_op` the launch walk uses, and occurrences of the same code region —
+//! identified by the content-derived block id — merge across warps and
+//! sampled thread blocks.
 //!
 //! **Conservation invariant.** For every one of the 25 static counters, the
 //! per-block attributions summed over all blocks and scaled by the grid
@@ -24,8 +24,8 @@
 
 use crate::oracle::REL_TOLERANCE;
 use crate::walk::{
-    walk_instruction, Accumulator, CoalescingSummary, DivergenceSummary, Location, SampledLaunch,
-    SharedConflictSummary, StaticCounts, StaticLaunchAnalysis, WalkScratch,
+    fold_op, Accumulator, CoalescingSummary, DivergenceSummary, Location, SampledLaunch,
+    SharedConflictSummary, StaticCounts, StaticLaunchAnalysis,
 };
 use bf_kernels::Application;
 use gpu_sim::blocks::{block_content_id, segment_stream};
@@ -170,13 +170,13 @@ pub fn check_conservation(
 
 /// Attributes one launch's static counters to basic blocks.
 ///
-/// Walks exactly the blocks [`analyze_launch`] samples, in the same order,
-/// applying the same counting rules — only the destination accumulator
-/// differs (the instruction's enclosing basic block instead of the launch).
+/// Folds exactly the ops [`analyze_launch`] folds, in the same order, with
+/// the same `fold_op` — only the destination accumulator differs (the
+/// instruction's enclosing basic block instead of the launch).
 ///
 /// [`analyze_launch`]: crate::walk::analyze_launch
 pub fn attribute_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<BlockLevelAnalysis> {
-    Ok(SampledLaunch::new(gpu, kernel)?.attribute(gpu, &mut WalkScratch::default()))
+    Ok(SampledLaunch::new(gpu, kernel)?.attribute(gpu))
 }
 
 /// A basic block being accumulated: where it was first seen, its length,
@@ -190,12 +190,9 @@ struct BlockAcc {
 }
 
 impl SampledLaunch {
-    /// The per-basic-block counting walk over the sampled traces.
-    pub(crate) fn attribute(
-        &self,
-        gpu: &GpuConfig,
-        scratch: &mut WalkScratch,
-    ) -> BlockLevelAnalysis {
+    /// The per-basic-block counting fold over the compiled ops; the traces
+    /// give the block boundaries.
+    pub(crate) fn attribute(&self, gpu: &GpuConfig) -> BlockLevelAnalysis {
         let mut blocks: Vec<BlockAcc> = Vec::new();
         // id -> index into `blocks`; linear scan is fine at trace block
         // counts (tens of distinct blocks), and it keeps first-seen order
@@ -221,6 +218,8 @@ impl SampledLaunch {
         // launch-structural counters still need an owner.
         let empty_id = block_content_id(&[]);
 
+        let mut sectors = Vec::new();
+        let mut warps = self.warps();
         for (trace, &grid_block) in self.traces.iter().zip(&self.ids) {
             if trace.warps.is_empty() {
                 // A degenerate warpless trace still counts as a launched
@@ -234,13 +233,8 @@ impl SampledLaunch {
                 blocks[entry].acc.counts.blocks_launched += 1.0;
                 continue;
             }
-            for (warp, stream) in trace.warps.iter().enumerate() {
+            for (entry_loc, stream, ops) in warps.by_ref().take(trace.warps.len()) {
                 let spans = segment_stream(stream);
-                let entry_loc = Location {
-                    block: grid_block,
-                    warp,
-                    instruction: 0,
-                };
                 // Launch-structural attribution: this warp to its entry
                 // block, and (for warp 0) the thread block itself.
                 let entry = match spans.first() {
@@ -248,29 +242,19 @@ impl SampledLaunch {
                     None => find(&mut blocks, empty_id, entry_loc, 0),
                 };
                 blocks[entry].acc.counts.warps_launched += 1.0;
-                if warp == 0 {
+                if entry_loc.warp == 0 {
                     blocks[entry].acc.counts.blocks_launched += 1.0;
                 }
                 for span in &spans {
-                    let idx = find(
-                        &mut blocks,
-                        span.id,
-                        Location {
-                            block: grid_block,
-                            warp,
-                            instruction: span.start,
-                        },
-                        span.len(),
-                    );
+                    let loc = |instruction| Location {
+                        instruction,
+                        ..entry_loc
+                    };
+                    let idx = find(&mut blocks, span.id, loc(span.start), span.len());
                     let b = &mut blocks[idx];
                     b.occurrences += 1;
-                    for (i, instr) in stream[span.start..span.end].iter().enumerate() {
-                        let loc = Location {
-                            block: grid_block,
-                            warp,
-                            instruction: span.start + i,
-                        };
-                        walk_instruction(gpu, instr, loc, &mut b.acc, scratch);
+                    for i in span.start..span.end {
+                        fold_op(gpu, &ops[i], &stream[i], loc(i), &mut b.acc, &mut sectors);
                     }
                 }
             }

@@ -8,12 +8,13 @@
 //! bank-conflict behaviour. This crate extracts it without running the cycle
 //! engine, three ways:
 //!
-//! * **Static walk** ([`walk`]) — [`analyze_launch`] visits the same sampled
-//!   block traces the simulator would and applies the same counting rules,
-//!   producing full-grid event counts, coalescing/bank-conflict/divergence
-//!   profiles, theoretical occupancy with its limiter, arithmetic intensity,
-//!   and a roofline compute-vs-memory classification — in microseconds
-//!   instead of a full simulation.
+//! * **Static walk** ([`walk`]) — [`analyze_launch`] compiles the same
+//!   sampled block traces the simulator would with the engine's own compile
+//!   stage and folds the compiled ops, producing full-grid event counts,
+//!   coalescing/bank-conflict/divergence profiles, theoretical occupancy
+//!   with its limiter, arithmetic intensity, and a roofline
+//!   compute-vs-memory classification — in microseconds instead of a full
+//!   simulation.
 //! * **Diagnostics** ([`diag`]) — clippy-style findings with stable codes
 //!   (`BF-W001` bank conflicts, `BF-W002` uncoalesced access, `BF-W003` low
 //!   occupancy, `BF-W004` divergence, `BF-I101` roofline note, `BF-E00x`
@@ -25,7 +26,7 @@
 //!   sweeps; divergence beyond float noise means one side has a bug. This is
 //!   the sanitizer that keeps the simulator's causal structure honest as it
 //!   grows.
-//! * **Basic-block attribution** ([`attr`]) — the same walk split by basic
+//! * **Basic-block attribution** ([`attr`]) — the same fold split by basic
 //!   block (segmented at branch/barrier boundaries with stable
 //!   content-derived ids), under a hard conservation invariant: per-block
 //!   counters sum back to the launch totals bit-for-bit. Block-level

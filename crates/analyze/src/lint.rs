@@ -17,7 +17,7 @@
 use crate::attr::{self, BlockAttribution};
 use crate::diag::{self, Diagnostic, Severity};
 use crate::oracle::{self, OracleReport};
-use crate::walk::{SampledLaunch, WalkScratch};
+use crate::walk::SampledLaunch;
 use crate::whatif::{self, WhatIfModel};
 use bf_kernels::matmul::matmul_application;
 use bf_kernels::nw::nw_application;
@@ -368,8 +368,6 @@ pub fn lint_applications_with(
     let mut block_aggs: Vec<BlockAgg> = Vec::new();
     let mut conservation = ConservationSummary::default();
 
-    // One scratch for every launch: the walk allocates nothing per access.
-    let mut scratch = WalkScratch::default();
     for app in apps {
         for (i, kernel) in app.launches.iter().enumerate() {
             launches += 1;
@@ -386,16 +384,17 @@ pub fn lint_applications_with(
             };
             let a = {
                 let _span = bf_trace::span!("analyze.walk");
-                sampled.walk(gpu, &mut scratch)
+                sampled.walk(gpu)
             };
 
             if cfg.blocks {
-                // The launch walk and the attribution walk the same traces
-                // but accumulate independently, so conservation still
-                // checks the per-block routing against the launch totals.
+                // The launch walk and the attribution fold the same
+                // compiled ops but accumulate independently, so
+                // conservation still checks the per-block routing against
+                // the launch totals.
                 let (battr, checks) = {
                     let _span = bf_trace::span!("analyze.attr");
-                    let battr = sampled.attribute(gpu, &mut scratch);
+                    let battr = sampled.attribute(gpu);
                     let checks = attr::check_conservation(&battr, &a);
                     (battr, checks)
                 };

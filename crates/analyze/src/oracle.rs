@@ -1,12 +1,16 @@
 //! The differential oracle: static predictions vs dynamic counters.
 //!
-//! The static walk ([`crate::walk`]) and the cycle engine count the same
-//! events from the same sampled traces, so for every counter with a static
-//! counterpart the two must agree to floating-point noise. This module turns
-//! that invariant into an executable check: [`compare`] diffs one launch,
-//! [`check_application`] sweeps a whole application, and any divergence is a
-//! simulator (or analyzer) bug — surfaced as a [`crate::diag::ORACLE_DIVERGENCE`]
-//! error diagnostic by the lint driver.
+//! The static walk ([`crate::walk`]) folds the ops the engine's compile
+//! stage produces from the sampled traces, and the cycle engine executes
+//! those ops, so for every counter with a static counterpart the two must
+//! agree to floating-point noise. This module turns that invariant into an
+//! executable check: [`compare`] diffs one launch, [`check_application`]
+//! sweeps a whole application, and any divergence is a simulator (or
+//! analyzer) bug — surfaced as a [`crate::diag::ORACLE_DIVERGENCE`] error
+//! diagnostic by the lint driver. The fold and the execute loop share the
+//! compile stage, so the test suite makes the oracle three-way: a reference
+//! interpreter that re-derives every count from the traces on its own
+//! (`gpu-sim/tests/reference`) must match the walk bit for bit.
 //!
 //! Tolerances (documented in `DESIGN.md`): occupancy is compared **exactly**;
 //! every counter pair uses relative tolerance [`REL_TOLERANCE`], which only

@@ -1,23 +1,27 @@
 //! The static instruction walk: event counts and bottleneck metrics derived
 //! from a kernel's traces without running the cycle engine.
 //!
-//! The walk visits exactly the blocks the dynamic engine would sample
+//! The walk compiles exactly the blocks the dynamic engine would sample
 //! ([`gpu_sim::sample_block_ids`] with the occupancy-derived resident count)
-//! and applies the *same counting rules* as `gpu_sim::sm::simulate_sm`, then
-//! scales to the full grid by the same `grid_blocks / sampled_blocks` factor.
-//! Every counter produced here is therefore expected to match the dynamic
-//! simulator bit-for-bit — the differential oracle ([`crate::oracle`]) pins
-//! that equivalence as an executable check.
+//! through the engine's own compile stage ([`gpu_sim::soa::compile`]), folds
+//! the compiled ops ([`fold_op`]), then scales to the full grid by the same
+//! `grid_blocks / sampled_blocks` factor. The per-instruction counting rules
+//! (lanes, replays, transactions, requested bytes) thus have one producer;
+//! the fold adds only the static-only counters and the profiles. Every
+//! counter with a dynamic counterpart is expected to match the simulator
+//! bit-for-bit — the differential oracle ([`crate::oracle`]) pins that
+//! equivalence as an executable check.
 //!
 //! Counters that depend on cache state or timing (L1/L2 read hits, DRAM
 //! reads, cycles, seconds) are *not* derivable statically and are excluded;
 //! the roofline classification instead uses a documented no-cache upper bound
 //! on DRAM read traffic.
 
-use gpu_sim::banks::{self, BankScratch};
+use gpu_sim::coalesce::coalesce_into;
 use gpu_sim::occupancy::{occupancy, Occupancy};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaneMask, LaunchConfig, WarpInstruction};
-use gpu_sim::{coalesce, sample_block_ids, GpuConfig, Result};
+use gpu_sim::soa::{self, CompiledLaunch, Op, OpKind};
+use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::{sample_block_ids, GpuConfig, Result};
 use serde::Serialize;
 
 /// Where in a kernel an interesting access lives: sampled block id, warp
@@ -357,12 +361,12 @@ impl StaticLaunchAnalysis {
 /// Traces are validated before walking, so malformed kernels fail with the
 /// same `BadTrace` errors the simulator raises.
 pub fn analyze_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<StaticLaunchAnalysis> {
-    Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu, &mut WalkScratch::default()))
+    Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu))
 }
 
-/// One launch's sampled block traces: the prologue the launch walk and the
-/// per-block attribution ([`crate::attr`]) share, so a caller that wants
-/// both generates and validates the traces once.
+/// One launch's sampled block traces and their compiled ops: the prologue
+/// the launch walk and the per-block attribution ([`crate::attr`]) share,
+/// so a caller that wants both generates and compiles the traces once.
 pub(crate) struct SampledLaunch {
     /// Kernel name.
     pub kernel: String,
@@ -372,28 +376,29 @@ pub(crate) struct SampledLaunch {
     pub occupancy: Occupancy,
     /// The representative block ids, in walk order.
     pub ids: Vec<usize>,
-    /// The validated trace of each id in `ids`.
+    /// The trace of each id in `ids`.
     pub traces: Vec<BlockTrace>,
+    /// `traces` compiled by the engine's compile stage (which validates).
+    compiled: CompiledLaunch,
 }
 
 impl SampledLaunch {
     /// Samples the blocks the dynamic engine would
     /// ([`gpu_sim::sample_block_ids`] with the occupancy-derived resident
-    /// count), generates their traces and validates them.
+    /// count), generates their traces and compiles them.
     pub fn new(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledLaunch> {
         let launch = kernel.launch_config();
         let occupancy = occupancy(gpu, &launch)?;
         let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
         let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-        for t in &traces {
-            t.validate()?;
-        }
+        let compiled = soa::compile(gpu, &traces)?;
         Ok(SampledLaunch {
             kernel: kernel.name(),
             launch,
             occupancy,
             ids,
             traces,
+            compiled,
         })
     }
 
@@ -402,21 +407,35 @@ impl SampledLaunch {
         self.launch.grid_blocks as f64 / self.traces.len() as f64
     }
 
-    /// The launch-level counting walk over the sampled traces.
-    pub fn walk(&self, gpu: &GpuConfig, scratch: &mut WalkScratch) -> StaticLaunchAnalysis {
+    /// Every sampled warp in walk order: where its stream starts, the
+    /// stream, and its compiled ops (one per instruction).
+    pub fn warps(&self) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
+        let streams = self.traces.iter().flat_map(|t| t.warps.iter().enumerate());
+        streams
+            .zip(self.compiled.warps())
+            .map(|((warp, stream), (block, ops))| {
+                let loc = Location {
+                    block: self.ids[block],
+                    warp,
+                    instruction: 0,
+                };
+                (loc, stream.as_slice(), ops)
+            })
+    }
+
+    /// The launch-level counting fold over the compiled ops.
+    pub fn walk(&self, gpu: &GpuConfig) -> StaticLaunchAnalysis {
         let mut acc = Accumulator::default();
+        let mut sectors = Vec::new();
         acc.counts.blocks_launched = self.traces.len() as f64;
-        for (trace, &block) in self.traces.iter().zip(&self.ids) {
-            acc.counts.warps_launched += trace.warps.len() as f64;
-            for (warp, stream) in trace.warps.iter().enumerate() {
-                for (i, instr) in stream.iter().enumerate() {
-                    let loc = Location {
-                        block,
-                        warp,
-                        instruction: i,
-                    };
-                    walk_instruction(gpu, instr, loc, &mut acc, scratch);
-                }
+        for (loc, stream, ops) in self.warps() {
+            acc.counts.warps_launched += 1.0;
+            for (i, (op, instr)) in ops.iter().zip(stream).enumerate() {
+                let loc = Location {
+                    instruction: i,
+                    ..loc
+                };
+                fold_op(gpu, op, instr, loc, &mut acc, &mut sectors);
             }
         }
 
@@ -462,62 +481,47 @@ impl Default for Accumulator {
     }
 }
 
-/// Caller-owned buffers the walk reuses from one access to the next, so
-/// counting a launch allocates nothing per instruction.
-#[derive(Debug, Default)]
-pub(crate) struct WalkScratch {
-    banks: BankScratch,
-    segments: Vec<u64>,
-}
-
-impl WalkScratch {
-    /// Number of unique `segment`-byte transactions covering an access.
-    fn segments(&mut self, addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> usize {
-        coalesce::coalesce_into(addrs, width, mask, segment, &mut self.segments);
-        self.segments.len()
-    }
-}
-
-/// Applies the `simulate_sm` counting rules to one instruction, adding its
-/// events to `acc`. Kept in one match so a drift against `gpu_sim::sm` is a
-/// one-screen diff (and the differential oracle catches it anyway).
+/// Adds one compiled op's events to `acc`. The per-instruction counts come
+/// from the engine's compile stage; the fold sums them the way the execute
+/// loop does and adds the static-only counters and the profiles.
 ///
-/// Uses the allocation-free primitives the SoA engine uses
-/// ([`banks::conflict_degree_scratch`], [`coalesce::coalesce_into`]) over
-/// `scratch`; `gpu_sim::sm` keeps the allocating ones as the reference, and
-/// `gpu-sim`'s `static_primitives` tests pin that the two agree.
-pub(crate) fn walk_instruction(
+/// `instr` is the op's source instruction. It is read for one count the
+/// engine does not need: the 32-byte sectors of a load on line-tagged
+/// Fermi (`load_segment_bytes() != 32`), for the DRAM read bound, coalesced
+/// into the caller's `sectors` buffer.
+pub(crate) fn fold_op(
     gpu: &GpuConfig,
+    op: &Op,
     instr: &WarpInstruction,
     loc: Location,
     acc: &mut Accumulator,
-    scratch: &mut WalkScratch,
+    sectors: &mut Vec<u64>,
 ) {
     let counts = &mut acc.counts;
-    let lanes = instr.active_lanes() as f64;
-    match instr {
-        WarpInstruction::Alu { count, mask: _ } => {
-            let c = *count as f64;
+    let lanes = op.lanes as f64;
+    match op.kind {
+        OpKind::Alu => {
+            let c = op.count as f64;
             counts.inst_executed += c;
             counts.inst_issued += c;
             counts.thread_inst_executed += c * lanes;
             counts.alu_warp_instructions += c;
             counts.alu_thread_ops += c * lanes;
         }
-        WarpInstruction::Sfu { .. } => {
+        OpKind::Sfu => {
             counts.inst_executed += 1.0;
             counts.inst_issued += 1.0;
             counts.thread_inst_executed += lanes;
             counts.alu_warp_instructions += 1.0;
             counts.alu_thread_ops += lanes;
         }
-        WarpInstruction::Branch { divergent, .. } => {
+        OpKind::Branch => {
             let divergence = &mut acc.divergence;
             counts.inst_executed += 1.0;
             counts.branch += 1.0;
             counts.thread_inst_executed += lanes;
             divergence.branches += 1;
-            if *divergent {
+            if op.divergent {
                 counts.divergent_branch += 1.0;
                 counts.inst_issued += 2.0;
                 divergence.divergent += 1;
@@ -528,35 +532,19 @@ pub(crate) fn walk_instruction(
                 counts.inst_issued += 1.0;
             }
         }
-        WarpInstruction::LoadShared {
-            offsets,
-            width,
-            mask,
-        }
-        | WarpInstruction::StoreShared {
-            offsets,
-            width,
-            mask,
-        } => {
-            let degree = banks::conflict_degree_scratch(
-                offsets,
-                *width,
-                *mask,
-                gpu.shared_banks as u32,
-                gpu.bank_width as u32,
-                &mut scratch.banks,
-            );
-            let r = (degree - 1) as f64;
+        OpKind::LoadShared | OpKind::StoreShared => {
+            let r = op.replays as f64;
             counts.inst_executed += 1.0;
             counts.inst_issued += 1.0 + r;
             counts.thread_inst_executed += lanes;
-            if matches!(instr, WarpInstruction::LoadShared { .. }) {
+            if op.kind == OpKind::LoadShared {
                 counts.shared_load += 1.0;
                 counts.shared_load_replay += r;
             } else {
                 counts.shared_store += 1.0;
                 counts.shared_store_replay += r;
             }
+            let degree = u32::from(op.replays) + 1;
             let shared = &mut acc.shared;
             shared.accesses += 1;
             if degree >= 2 {
@@ -567,10 +555,9 @@ pub(crate) fn walk_instruction(
                 shared.worst = Some(loc);
             }
         }
-        WarpInstruction::LoadGlobal { addrs, width, mask } => {
-            let requested = coalesce::requested_bytes(*width, *mask);
+        OpKind::LoadGlobal => {
             counts.gld_request += 1.0;
-            counts.gld_requested_bytes += requested as f64;
+            counts.gld_requested_bytes += op.req_bytes as f64;
             counts.inst_executed += 1.0;
             counts.thread_inst_executed += lanes;
             // Line-tagged Fermi coalesces into whole L1 lines; every other
@@ -578,18 +565,21 @@ pub(crate) fn walk_instruction(
             // Pascal/Volta L1s — uses 32B sectors (matching the dynamic
             // transaction counter).
             let segment = gpu.load_segment_bytes();
-            let ntrans = scratch.segments(addrs, *width, *mask, segment);
+            let ntrans = op.transactions();
             counts.global_load_transactions += ntrans as f64;
             counts.inst_issued += (ntrans as f64).max(1.0);
             counts.load_traffic_bytes += (ntrans as u64 * segment as u64) as f64;
             // On the sector paths the load's transactions already are the
             // 32B sectors of the DRAM bound.
-            let sectors = if segment == 32 {
-                ntrans
-            } else {
-                scratch.segments(addrs, *width, *mask, 32)
+            let nsectors = match instr {
+                WarpInstruction::LoadGlobal { addrs, width, mask } if segment != 32 => {
+                    coalesce_into(addrs, *width, *mask, 32, sectors);
+                    sectors.len()
+                }
+                _ => ntrans,
             };
-            counts.dram_read_bytes_bound += (sectors * 32) as f64;
+            counts.dram_read_bytes_bound += (nsectors * 32) as f64;
+            let requested = u64::from(op.req_bytes);
             record_access(
                 &mut acc.loads,
                 loc,
@@ -598,22 +588,22 @@ pub(crate) fn walk_instruction(
                 segment as u64,
             );
         }
-        WarpInstruction::StoreGlobal { addrs, width, mask } => {
-            let requested = coalesce::requested_bytes(*width, *mask);
+        OpKind::StoreGlobal => {
             counts.gst_request += 1.0;
-            counts.gst_requested_bytes += requested as f64;
+            counts.gst_requested_bytes += op.req_bytes as f64;
             counts.inst_executed += 1.0;
             counts.thread_inst_executed += lanes;
-            let sectors = scratch.segments(addrs, *width, *mask, 32);
-            counts.l2_write_transactions += sectors as f64;
-            counts.dram_write_transactions += sectors as f64;
-            counts.store_traffic_bytes += (sectors * 32) as f64;
-            let store_trans = scratch.segments(addrs, *width, *mask, 128);
-            counts.global_store_transactions += store_trans as f64;
-            counts.inst_issued += (store_trans as f64).max(1.0);
-            record_access(&mut acc.stores, loc, requested, sectors as u64, 32);
+            let nsectors = op.transactions();
+            counts.l2_write_transactions += nsectors as f64;
+            counts.dram_write_transactions += nsectors as f64;
+            counts.store_traffic_bytes += (nsectors * 32) as f64;
+            let store_trans = op.store_trans as f64;
+            counts.global_store_transactions += store_trans;
+            counts.inst_issued += store_trans.max(1.0);
+            let requested = u64::from(op.req_bytes);
+            record_access(&mut acc.stores, loc, requested, nsectors as u64, 32);
         }
-        WarpInstruction::Barrier => {
+        OpKind::Barrier => {
             counts.inst_executed += 1.0;
             counts.inst_issued += 1.0;
             counts.barriers += 1.0;
@@ -736,22 +726,20 @@ mod tests {
         serde_json::to_string(v).expect("analysis serializes")
     }
 
-    /// Lint samples each launch once and runs both passes over the traces
-    /// with one scratch reused across the whole sweep; that must serialize
-    /// byte-equal to the public entry points, which sample afresh and start
-    /// from empty scratch every launch.
+    /// Lint samples and compiles each launch once and folds the same ops
+    /// twice; that must serialize byte-equal to the public entry points,
+    /// which sample and compile afresh for each pass.
     #[test]
-    fn sampled_passes_with_reused_scratch_match_the_public_entry_points() {
+    fn one_compile_for_both_folds_matches_the_public_entry_points() {
         let mut launches = 0;
         for gpu in [GpuConfig::gtx580(), GpuConfig::v100()] {
-            let mut scratch = WalkScratch::default();
             for workload in ["reduce1", "nw"] {
                 for app in crate::lint::workload_sweep(workload, true).unwrap() {
                     for kernel in &app.launches {
                         let kernel = kernel.as_ref();
                         let sampled = SampledLaunch::new(&gpu, kernel).unwrap();
-                        let walked = sampled.walk(&gpu, &mut scratch);
-                        let attributed = sampled.attribute(&gpu, &mut scratch);
+                        let walked = sampled.walk(&gpu);
+                        let attributed = sampled.attribute(&gpu);
                         assert_eq!(
                             json(&walked),
                             json(&analyze_launch(&gpu, kernel).unwrap()),

@@ -16,7 +16,7 @@
 //! selected-counter row before the forest prediction.
 
 use crate::diag;
-use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis, WalkScratch};
+use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis};
 use bf_kernels::Application;
 use gpu_sim::profiler::counter_on;
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
@@ -235,7 +235,6 @@ fn analyze_all(
     app: &Application,
     fix: Option<Fix>,
 ) -> Result<Vec<StaticLaunchAnalysis>> {
-    let mut scratch = WalkScratch::default();
     app.launches
         .iter()
         .enumerate()
@@ -251,7 +250,7 @@ fn analyze_all(
                 None => SampledLaunch::new(gpu, k.as_ref()),
             };
             sampled
-                .map(|s| s.walk(gpu, &mut scratch))
+                .map(|s| s.walk(gpu))
                 .map_err(|e| e.in_kernel(&k.name(), i))
         })
         .collect()

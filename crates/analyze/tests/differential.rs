@@ -3,12 +3,23 @@
 //! architecture generation in the zoo, for every launch of every
 //! application.
 //!
-//! Tolerances (see `DESIGN.md`): occupancy exact; counters within
-//! `REL_TOLERANCE` (float noise only). A failure here means the static walk
-//! and the cycle engine disagree about the machine's causal structure —
-//! i.e. somebody introduced a bug — and the panic names the GPU *and its
-//! architecture* so a generation-specific memory-path regression is
-//! immediately attributable.
+//! The oracle is three-way. The static walk folds the engine's compiled
+//! ops, so the walk and the engine share one compile stage; every launch is
+//! therefore also run through the test-only reference interpreter
+//! (`gpu-sim/tests/reference`), which re-derives coalescing and bank
+//! conflicts from the traces on its own. Its statically exact counters,
+//! scaled with the walk's single multiply, must equal the walk's bit for
+//! bit.
+//!
+//! Tolerances (see `DESIGN.md`): occupancy exact; walk-vs-engine counters
+//! within `REL_TOLERANCE` (float noise only). A failure here means the
+//! static walk, the cycle engine or the reference disagree about the
+//! machine's causal structure — i.e. somebody introduced a bug — and the
+//! panic names the GPU *and its architecture* so a generation-specific
+//! memory-path regression is immediately attributable.
+
+#[path = "../../gpu-sim/tests/reference/mod.rs"]
+mod reference;
 
 use bf_analyze::oracle::{check_application, compare, OracleReport};
 use bf_analyze::walk::analyze_launch;
@@ -17,7 +28,11 @@ use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::{simulate_launch, GpuConfig};
+use gpu_sim::cache::Cache;
+use gpu_sim::counters::raw_event_field_names;
+use gpu_sim::occupancy::occupancy;
+use gpu_sim::trace::{BlockTrace, KernelTrace};
+use gpu_sim::{sample_block_ids, simulate_launch, GpuConfig};
 
 /// One GPU per architecture generation: Fermi, Kepler, Maxwell, Pascal,
 /// Volta. Each generation exercises a different global-memory path
@@ -27,10 +42,42 @@ fn gpus() -> Vec<GpuConfig> {
     GpuConfig::arch_representatives()
 }
 
+/// The reference interpreter's raw events for one launch, by field name:
+/// the blocks the walk samples, from cold caches, scaled to the grid with
+/// the walk's single multiply.
+fn reference_events(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Vec<(&'static str, f64)> {
+    let lc = kernel.launch_config();
+    let occ = occupancy(gpu, &lc).unwrap();
+    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
+    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+    let l2_slice = (gpu.l2_size / gpu.num_sms).max(gpu.l2_line * gpu.l2_assoc);
+    let mut l1 = Cache::new(gpu.l1_size, gpu.l1_tag_line(), gpu.l1_assoc);
+    let mut l2 = Cache::new(l2_slice, gpu.l2_line.max(32), gpu.l2_assoc);
+    let r = reference::simulate_sm(gpu, &traces, &mut l1, &mut l2).unwrap();
+    let scale = lc.grid_blocks as f64 / traces.len() as f64;
+    let values = r.events.as_array().map(|v| v * scale);
+    raw_event_field_names().into_iter().zip(values).collect()
+}
+
 fn assert_agrees(gpu: &GpuConfig, app: &Application) {
     let reports: Vec<OracleReport> = check_application(gpu, app)
         .unwrap_or_else(|e| panic!("{} on {} ({}): {e}", app.name, gpu.name, gpu.arch.name()));
     for r in &reports {
+        let reference = reference_events(gpu, app.launches[r.launch].as_ref());
+        for c in &r.checks {
+            let (_, v) = reference.iter().find(|(n, _)| *n == c.counter).unwrap();
+            assert!(
+                c.static_value.to_bits() == v.to_bits(),
+                "{} launch {} ({}) on {} ({}): {} — walk {} vs reference {v}",
+                app.name,
+                r.launch,
+                r.kernel,
+                gpu.name,
+                gpu.arch.name(),
+                c.counter,
+                c.static_value
+            );
+        }
         assert!(
             r.occupancy_ok,
             "{} launch {} ({}): occupancy mismatch on {} ({})",

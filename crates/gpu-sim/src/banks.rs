@@ -9,49 +9,8 @@
 
 use crate::trace::LaneMask;
 
-/// Computes the conflict degree of a shared-memory access: the maximum
-/// number of *distinct words* any single bank must serve. Degree 1 means
-/// conflict-free; degree `d` costs `d - 1` replays.
-pub fn conflict_degree(
-    offsets: &[u32],
-    width: u8,
-    mask: LaneMask,
-    banks: u32,
-    bank_width: u32,
-) -> u32 {
-    debug_assert!(banks.is_power_of_two());
-    // Words per bank this access touches; small fixed arrays would also work
-    // but a Vec keeps `banks` flexible.
-    let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks as usize];
-    let words_per_access = (width as u32).div_ceil(bank_width).max(1);
-    for (lane, &off) in offsets.iter().enumerate() {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        for w in 0..words_per_access {
-            let word = off / bank_width + w;
-            let bank = (word % banks) as usize;
-            if !per_bank[bank].contains(&word) {
-                per_bank[bank].push(word);
-            }
-        }
-    }
-    per_bank
-        .iter()
-        .map(|v| v.len() as u32)
-        .max()
-        .unwrap_or(0)
-        .max(1)
-}
-
-/// Replays for an access: `conflict_degree - 1`.
-pub fn replays(offsets: &[u32], width: u8, mask: LaneMask, banks: u32, bank_width: u32) -> u32 {
-    conflict_degree(offsets, width, mask, banks, bank_width) - 1
-}
-
 /// Reusable scratch space for [`conflict_degree_scratch`], so the SoA batch
-/// compiler evaluates every shared access in a launch without allocating the
-/// per-bank `Vec<Vec<u32>>` of [`conflict_degree`] each time.
+/// compiler evaluates every shared access in a launch without allocating.
 #[derive(Debug, Default)]
 pub struct BankScratch {
     words: Vec<u32>,
@@ -65,9 +24,10 @@ impl BankScratch {
     }
 }
 
-/// Allocation-free equivalent of [`conflict_degree`]: the touched words are
+/// Computes the conflict degree of a shared-memory access: the maximum
+/// number of *distinct words* any single bank must serve. Degree 1 means
+/// conflict-free; degree `d` costs `d - 1` replays. The touched words are
 /// collected into `scratch`, sorted and deduplicated, then counted per bank.
-/// Produces the identical degree for every input.
 pub fn conflict_degree_scratch(
     offsets: &[u32],
     width: u8,
@@ -105,7 +65,7 @@ pub fn conflict_degree_scratch(
     degree
 }
 
-/// Allocation-free equivalent of [`replays`].
+/// Replays for an access: `conflict_degree_scratch - 1`.
 pub fn replays_scratch(
     offsets: &[u32],
     width: u8,
@@ -124,6 +84,14 @@ mod tests {
 
     fn offs(stride: u32) -> Vec<u32> {
         (0..32).map(|i| i * stride).collect()
+    }
+
+    fn conflict_degree(offsets: &[u32], width: u8, mask: LaneMask, banks: u32, bw: u32) -> u32 {
+        conflict_degree_scratch(offsets, width, mask, banks, bw, &mut BankScratch::new())
+    }
+
+    fn replays(offsets: &[u32], width: u8, mask: LaneMask, banks: u32, bw: u32) -> u32 {
+        replays_scratch(offsets, width, mask, banks, bw, &mut BankScratch::new())
     }
 
     #[test]

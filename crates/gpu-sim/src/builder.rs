@@ -192,10 +192,18 @@ impl WarpStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::banks::{replays_scratch, BankScratch};
     use crate::cache::Cache;
-    use crate::sm::simulate_sm;
-    use crate::trace::first_lanes;
+    use crate::coalesce::coalesce_into;
+    use crate::soa::simulate_resident_set;
+    use crate::trace::{first_lanes, LaneMask};
     use crate::GpuConfig;
+
+    fn lines(addrs: &[u64], width: u8, mask: LaneMask) -> usize {
+        let mut out = Vec::new();
+        coalesce_into(addrs, width, mask, 128, &mut out);
+        out.len()
+    }
 
     #[test]
     fn builder_produces_valid_traces() {
@@ -242,10 +250,7 @@ mod tests {
         let t = b.build().unwrap();
         // Strided global: 32 distinct 128B lines.
         if let WarpInstruction::LoadGlobal { addrs, width, mask } = &t.warps[0][0] {
-            assert_eq!(
-                crate::coalesce::coalesce(addrs, *width, *mask, 128).len(),
-                32
-            );
+            assert_eq!(lines(addrs, *width, *mask), 32);
         } else {
             panic!();
         }
@@ -256,16 +261,14 @@ mod tests {
             mask,
         } = &t.warps[0][1]
         {
-            assert_eq!(crate::banks::replays(offsets, *width, *mask, 32, 4), 1);
+            let r = replays_scratch(offsets, *width, *mask, 32, 4, &mut BankScratch::new());
+            assert_eq!(r, 1);
         } else {
             panic!();
         }
         // Broadcast: one transaction.
         if let WarpInstruction::LoadGlobal { addrs, width, mask } = &t.warps[0][2] {
-            assert_eq!(
-                crate::coalesce::coalesce(addrs, *width, *mask, 128).len(),
-                1
-            );
+            assert_eq!(lines(addrs, *width, *mask), 1);
         } else {
             panic!();
         }
@@ -291,7 +294,7 @@ mod tests {
         let t = b.build().unwrap();
         let mut l1 = Cache::new(gpu.l1_size, gpu.l1_line, gpu.l1_assoc);
         let mut l2 = Cache::new(gpu.l2_size / gpu.num_sms, 32, gpu.l2_assoc);
-        let r = simulate_sm(&gpu, &[t], &mut l1, &mut l2).unwrap();
+        let r = simulate_resident_set(&gpu, &[t], &mut l1, &mut l2).unwrap();
         assert!(r.cycles > 0.0);
         assert_eq!(r.events.gld_request, 4.0);
         assert_eq!(r.events.gst_request, 4.0);

@@ -15,37 +15,12 @@
 
 use crate::trace::LaneMask;
 
-/// One memory transaction produced by coalescing: a segment-aligned address
-/// and segment size in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transaction {
-    /// Segment-aligned byte address.
-    pub addr: u64,
-    /// Segment size in bytes (128 for L1 lines, 32 for L2 sectors).
-    pub size: u32,
-}
-
 /// Collects the unique `segment`-aligned transactions covering the active
-/// lanes' accesses. `width` is bytes per lane. Accesses that straddle a
-/// segment boundary produce both segments (possible with 8-byte words at
-/// 4-byte alignment).
-pub fn coalesce(addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> Vec<Transaction> {
-    let mut scratch = Vec::with_capacity(8);
-    coalesce_into(addrs, width, mask, segment, &mut scratch);
-    scratch
-        .into_iter()
-        .map(|addr| Transaction {
-            addr,
-            size: segment,
-        })
-        .collect()
-}
-
-/// Allocation-free core of [`coalesce`]: writes the unique, sorted,
-/// segment-aligned transaction addresses into `out` (cleared first). The SoA
-/// batch compiler ([`crate::soa`]) calls this in a tight sweep with one
-/// reused scratch buffer per launch instead of allocating a `Vec` per
-/// access; the produced address set is identical to [`coalesce`]'s.
+/// lanes' accesses into `out` (cleared first), sorted ascending. `width` is
+/// bytes per lane. Accesses that straddle a segment boundary produce both
+/// segments (possible with 8-byte words at 4-byte alignment). The SoA batch
+/// compiler ([`crate::soa`]) calls this in a tight sweep with one reused
+/// buffer per launch, so no access allocates.
 pub fn coalesce_into(addrs: &[u64], width: u8, mask: LaneMask, segment: u32, out: &mut Vec<u64>) {
     debug_assert!(segment.is_power_of_two());
     let seg = segment as u64;
@@ -84,11 +59,17 @@ mod tests {
         (0..32).map(|i| base + i * stride).collect()
     }
 
+    fn coalesce(addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> Vec<u64> {
+        let mut out = Vec::new();
+        coalesce_into(addrs, width, mask, segment, &mut out);
+        out
+    }
+
     #[test]
     fn fully_coalesced_float_load_is_one_line() {
         let t = coalesce(&seq_addrs(0x1000, 4), 4, FULL_MASK, 128);
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].addr, 0x1000);
+        assert_eq!(t[0], 0x1000);
     }
 
     #[test]
@@ -133,7 +114,7 @@ mod tests {
         addrs[5] = 0x5000;
         let t = coalesce(&addrs, 4, 1 << 5, 128);
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].addr, 0x5000 & !127);
+        assert_eq!(t[0], 0x5000 & !127);
     }
 
     #[test]
@@ -149,8 +130,8 @@ mod tests {
         addrs[0] = 28;
         let t = coalesce(&addrs, 8, 1, 32);
         assert_eq!(t.len(), 2);
-        assert_eq!(t[0].addr, 0);
-        assert_eq!(t[1].addr, 32);
+        assert_eq!(t[0], 0);
+        assert_eq!(t[1], 32);
     }
 
     #[test]
@@ -158,10 +139,10 @@ mod tests {
         let addrs = vec![0x500, 0x100, 0x300, 0x100];
         let t = coalesce(&addrs, 4, 0b1111, 128);
         for w in t.windows(2) {
-            assert!(w[0].addr < w[1].addr);
+            assert!(w[0] < w[1]);
         }
         for tr in &t {
-            assert_eq!(tr.addr % 128, 0);
+            assert_eq!(tr % 128, 0);
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! A kernel launch executes in *waves*: each wave fills every SM with its
 //! resident-block quota. The engine simulates one representative resident set
-//! in cycle detail ([`crate::sm`]), then:
+//! in cycle detail ([`crate::soa`]), then:
 //!
 //! * wave time = max(SM compute/latency time, wave DRAM bytes / bandwidth) —
 //!   the classic roofline coupling that makes the reduction kernels

@@ -17,7 +17,7 @@
 //! * **Shared-memory bank conflicts** ([`banks`]) — 32 banks, 4-byte words,
 //!   broadcast detection; conflict degree drives instruction replays.
 //! * **Caches** ([`cache`]) — set-associative write-evict L1 and a shared L2.
-//! * **Warp scheduling** ([`sm`]) — an event-driven greedy-then-oldest
+//! * **Warp scheduling** ([`soa`]) — an event-driven greedy-then-oldest
 //!   scheduler with issue-width, ALU/LDST/SFU pipeline, latency, and
 //!   `__syncthreads` barrier modeling.
 //! * **Wave execution and DRAM bandwidth** ([`engine`]) — launches execute in
@@ -61,7 +61,6 @@ pub mod memo;
 pub mod occupancy;
 pub mod power;
 pub mod profiler;
-pub mod sm;
 pub mod soa;
 pub mod steady;
 pub mod trace;

@@ -32,8 +32,7 @@
 use crate::arch::GpuConfig;
 use crate::cache::Cache;
 use crate::counters::{RawEvents, RAW_EVENT_FIELDS};
-use crate::sm::SmResult;
-use crate::soa;
+use crate::soa::{self, SmResult};
 use crate::trace::{BlockTrace, WarpInstruction};
 
 /// Minimum common repetition count before extrapolation is attempted.

@@ -1,37 +1,121 @@
 //! Property suite pinning the SoA batch engine to the reference
 //! interpreter.
 //!
-//! [`gpu_sim::sm::simulate_sm`] re-derives coalescing and bank conflicts
-//! per instruction straight from the trace; the launch engine runs the
-//! precompiled SoA path ([`gpu_sim::soa`]) instead. The determinism
-//! contract requires the two to be **bit-identical** — every cycle count,
-//! every raw event, every DRAM byte — over *arbitrary* valid traces, not
-//! just the shipped kernels. Proptest generates those traces here.
+//! The reference ([`reference::simulate_sm`], test-only) re-derives
+//! coalescing and bank conflicts per instruction straight from the trace;
+//! the launch engine runs the precompiled SoA path ([`gpu_sim::soa`])
+//! instead. The two must be **bit-identical** — every cycle count, every
+//! raw event, every DRAM byte — over *arbitrary* valid traces on every
+//! architecture generation's memory path (line-tagged L1, L1 bypass,
+//! sector-tagged L1), not just the shipped kernels. Proptest generates
+//! those traces here; fixed mixed blocks cover every preset.
 //!
 //! A second property pins steady-state loop extrapolation
 //! ([`gpu_sim::steady`]): for periodic warp streams, the statically exact
 //! counters of an extrapolated launch must match the fully simulated launch
 //! to the differential-oracle tolerance (1e-9 relative, float noise only).
 
+mod reference;
+
+use gpu_sim::builder::TraceBuilder;
 use gpu_sim::cache::Cache;
 use gpu_sim::occupancy::occupancy;
-use gpu_sim::sm::simulate_sm;
-use gpu_sim::trace::{BlockTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{first_lanes, BlockTrace, LaunchConfig, WarpInstruction, FULL_MASK};
 use gpu_sim::{simulate_sampled_launch_with, soa, EngineOptions, GpuConfig, RawEvents};
 use proptest::prelude::*;
+use reference::simulate_sm;
 
 /// The cold cache state every launch starts from (mirrors the engine's
-/// private `fresh_caches`): fresh L1 plus this SM's slice of the shared L2.
+/// private `fresh_caches`): fresh L1, tagged at the L1's tag granularity
+/// (sectors on Pascal/Volta, lines elsewhere), plus this SM's slice of the
+/// shared L2.
 fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
     let l2_slice = (gpu.l2_size / gpu.num_sms).max(gpu.l2_line * gpu.l2_assoc);
     (
-        Cache::new(gpu.l1_size, gpu.l1_line, gpu.l1_assoc),
+        Cache::new(gpu.l1_size, gpu.l1_tag_line(), gpu.l1_assoc),
         Cache::new(l2_slice, gpu.l2_line.max(32), gpu.l2_assoc),
     )
 }
 
+/// One GPU per architecture generation, so every global-memory path is
+/// drawn.
 fn arb_gpu() -> impl Strategy<Value = GpuConfig> {
-    prop_oneof![Just(GpuConfig::gtx580()), Just(GpuConfig::k20m())]
+    (0..GpuConfig::arch_representatives().len())
+        .prop_map(|i| GpuConfig::arch_representatives().swap_remove(i))
+}
+
+/// Asserts the engine and the reference agree bit for bit on one resident
+/// set: cycles, DRAM bytes and every raw-event slot.
+fn assert_bit_identical(gpu: &GpuConfig, blocks: &[BlockTrace]) {
+    let (mut l1_ref, mut l2_ref) = fresh_caches(gpu);
+    let reference = simulate_sm(gpu, blocks, &mut l1_ref, &mut l2_ref).unwrap();
+    let (mut l1_soa, mut l2_soa) = fresh_caches(gpu);
+    let batched = soa::simulate_resident_set(gpu, blocks, &mut l1_soa, &mut l2_soa).unwrap();
+    assert_eq!(batched.cycles.to_bits(), reference.cycles.to_bits());
+    assert_eq!(batched.dram_bytes.to_bits(), reference.dram_bytes.to_bits());
+    let (a, b) = (batched.events.as_array(), reference.events.as_array());
+    for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{}: event field {i} diverges: soa {x} vs reference {y}",
+            gpu.name
+        );
+    }
+}
+
+/// One block of four warps touching every instruction kind, with a
+/// conflicted shared load, partial masks, a barrier and scattered stores.
+fn mixed_block(seed: u64) -> BlockTrace {
+    let mut b = TraceBuilder::new(4);
+    for w in 0..4 {
+        let base = seed + w as u64 * 4096;
+        b.warp(w)
+            .load_global_seq(base, 4)
+            .load_shared_strided(0, 8, 4)
+            .mask(first_lanes(17))
+            .alu(7);
+    }
+    b.barrier();
+    for w in 0..4 {
+        let base = seed + w as u64 * 4096 + (1 << 20);
+        b.warp(w)
+            .branch(w % 2 == 0)
+            .mask(first_lanes(9))
+            .sfu()
+            .mask(first_lanes(23))
+            .store_shared_seq(0, 4)
+            .mask(FULL_MASK)
+            .store_global((0..32).map(|i| base + i * 512).collect(), 8);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn mixed_blocks_match_reference_on_every_preset() {
+    for gpu in GpuConfig::presets() {
+        assert_bit_identical(&gpu, &[mixed_block(0), mixed_block(1 << 16)]);
+    }
+}
+
+#[test]
+fn empty_and_tiny_blocks_match_reference() {
+    let mut uneven = BlockTrace::with_warps(3);
+    uneven.warps[1].push(WarpInstruction::Alu {
+        count: 1,
+        mask: FULL_MASK,
+    });
+    assert_bit_identical(&GpuConfig::gtx580(), &[BlockTrace::with_warps(2), uneven]);
+}
+
+#[test]
+fn invalid_traces_are_rejected_like_reference() {
+    let g = GpuConfig::gtx580();
+    let mut bad = BlockTrace::with_warps(2);
+    bad.warps[0].push(WarpInstruction::Barrier);
+    let (mut l1, mut l2) = fresh_caches(&g);
+    assert!(simulate_sm(&g, std::slice::from_ref(&bad), &mut l1, &mut l2).is_err());
+    assert!(soa::simulate_resident_set(&g, &[bad], &mut l1, &mut l2).is_err());
 }
 
 /// 32 per-lane global byte addresses spanning several L1/L2 lines, so the
@@ -136,7 +220,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The SoA engine is bit-identical to the reference interpreter over
-    /// arbitrary resident sets on both GPU generations: same cycles, same
+    /// arbitrary resident sets on every GPU generation: same cycles, same
     /// DRAM bytes, same value in every raw-event slot, down to the last
     /// mantissa bit.
     #[test]

@@ -3,18 +3,23 @@
 //!
 //! These are the contracts the differential oracle leans on — if a refactor
 //! bends any of them, the static and dynamic paths drift apart silently, so
-//! they are pinned here independently of either consumer. The static walk
-//! and the SoA engine use the allocation-free primitives
-//! (`conflict_degree_scratch`, `coalesce_into`) while `sm.rs` keeps the
-//! allocating ones, so the oracle's independence rests on the two agreeing
-//! — including when one scratch buffer is reused access after access.
+//! they are pinned here independently of either consumer. The library has
+//! one form of each primitive, the allocation-free one
+//! (`conflict_degree_scratch`, `coalesce_into`) that the SoA compile stage
+//! runs; the test-only reference interpreter keeps naive allocating ones
+//! (`reference::{conflict_degree, coalesce}`). The oracle's independence
+//! rests on the two agreeing — including when one scratch buffer is reused
+//! access after access.
 
-use gpu_sim::banks::{conflict_degree, conflict_degree_scratch, replays, BankScratch};
-use gpu_sim::coalesce::{coalesce, coalesce_into, requested_bytes};
+mod reference;
+
+use gpu_sim::banks::{conflict_degree_scratch, replays_scratch, BankScratch};
+use gpu_sim::coalesce::{coalesce_into, requested_bytes};
 use gpu_sim::occupancy::{occupancy, OccupancyLimiter};
 use gpu_sim::trace::LaunchConfig;
 use gpu_sim::GpuConfig;
 use proptest::prelude::*;
+use reference::{coalesce, conflict_degree, replays};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -81,13 +86,14 @@ proptest! {
         mask in any::<u32>(),
         segment in prop_oneof![Just(32u32), Just(128u32)],
     ) {
-        let txs = coalesce(&addrs, width, mask, segment);
+        let mut txs = Vec::new();
+        coalesce_into(&addrs, width, mask, segment, &mut txs);
+        let seg = segment as u64;
         for t in &txs {
-            prop_assert_eq!(t.addr % segment as u64, 0, "unaligned transaction");
-            prop_assert_eq!(t.size, segment);
+            prop_assert_eq!(t % seg, 0, "unaligned transaction");
         }
         for w in txs.windows(2) {
-            prop_assert!(w[0].addr < w[1].addr, "transactions overlap or are unsorted");
+            prop_assert!(w[0] < w[1], "transactions overlap or are unsorted");
         }
         for (lane, &addr) in addrs.iter().enumerate() {
             if mask & (1 << lane) == 0 {
@@ -96,7 +102,7 @@ proptest! {
             for byte in addr..addr + width as u64 {
                 let covered = txs
                     .iter()
-                    .any(|t| t.addr <= byte && byte < t.addr + t.size as u64);
+                    .any(|&t| t <= byte && byte < t + seg);
                 prop_assert!(covered, "byte {byte} of lane {lane} not covered");
             }
         }
@@ -109,7 +115,7 @@ proptest! {
         // Sanity for the throughput counters: requested bytes never exceed
         // the bytes the transactions move.
         prop_assert!(
-            requested_bytes(width, mask) <= txs.len() as u64 * segment as u64
+            requested_bytes(width, mask) <= txs.len() as u64 * seg
                 || mask == 0
         );
     }
@@ -123,7 +129,8 @@ proptest! {
         mask in any::<u32>(),
     ) {
         let (banks, bank_width) = (32u32, 4u32);
-        let degree = conflict_degree(&offsets, width, mask, banks, bank_width);
+        let mut scratch = BankScratch::new();
+        let degree = conflict_degree_scratch(&offsets, width, mask, banks, bank_width, &mut scratch);
         let words_per_access = (width as u32).div_ceil(bank_width);
         let mut distinct: Vec<u32> = Vec::new();
         for (lane, &off) in offsets.iter().enumerate() {
@@ -153,9 +160,10 @@ proptest! {
         mask in any::<u32>(),
     ) {
         let broadcast = vec![word * 4; 32];
-        prop_assert_eq!(replays(&broadcast, 4, mask, 32, 4), 0);
+        let mut scratch = BankScratch::new();
+        prop_assert_eq!(replays_scratch(&broadcast, 4, mask, 32, 4, &mut scratch), 0);
         let sequential: Vec<u32> = (0..32).map(|i| (base + i) * 4).collect();
-        prop_assert_eq!(replays(&sequential, 4, mask, 32, 4), 0);
+        prop_assert_eq!(replays_scratch(&sequential, 4, mask, 32, 4, &mut scratch), 0);
     }
 
     /// Residency never exceeds any hardware limit, and the reported limiter

@@ -362,6 +362,8 @@ pub fn matmul_naive_application(n: usize) -> Application {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::banks::{replays_scratch, BankScratch};
+    use gpu_sim::coalesce::coalesce_into;
 
     fn inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
         let a = (0..n * n).map(|i| ((i * 37) % 19) as f32 / 19.0).collect();
@@ -419,7 +421,8 @@ mod tests {
         let t = k.block_trace(3, &gpu);
         for instr in &t.warps[0] {
             if let WarpInstruction::LoadGlobal { addrs, width, mask } = instr {
-                let trans = gpu_sim::coalesce::coalesce(addrs, *width, *mask, 128);
+                let mut trans = Vec::new();
+                coalesce_into(addrs, *width, *mask, 128, &mut trans);
                 assert!(trans.len() <= 2, "expected <=2 lines, got {}", trans.len());
             }
         }
@@ -443,7 +446,10 @@ mod tests {
                     mask,
                 } = instr
                 {
-                    assert_eq!(gpu_sim::banks::replays(offsets, *width, *mask, 32, 4), 0);
+                    assert_eq!(
+                        replays_scratch(offsets, *width, *mask, 32, 4, &mut BankScratch::new()),
+                        0
+                    );
                 }
             }
         }

@@ -408,6 +408,8 @@ pub fn nw_application(n: usize, _penalty: i32) -> Application {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::banks::{replays_scratch, BankScratch};
+    use gpu_sim::coalesce::coalesce_into;
 
     #[test]
     fn tiled_dp_matches_reference_exactly() {
@@ -508,7 +510,7 @@ mod tests {
                     offsets,
                     width,
                     mask,
-                } => gpu_sim::banks::replays(offsets, *width, *mask, 32, 4),
+                } => replays_scratch(offsets, *width, *mask, 32, 4, &mut BankScratch::new()),
                 _ => 0,
             })
             .sum();
@@ -530,7 +532,9 @@ mod tests {
             .iter()
             .filter_map(|i| match i {
                 WarpInstruction::LoadGlobal { addrs, width, mask } => {
-                    Some(gpu_sim::coalesce::coalesce(addrs, *width, *mask, 128).len())
+                    let mut lines = Vec::new();
+                    coalesce_into(addrs, *width, *mask, 128, &mut lines);
+                    Some(lines.len())
                 }
                 _ => None,
             })

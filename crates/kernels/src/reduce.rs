@@ -585,6 +585,7 @@ pub fn reduce_application(variant: ReduceVariant, n: usize, threads: usize) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::banks::{replays_scratch, BankScratch};
 
     fn input(n: usize) -> Vec<f32> {
         (0..n)
@@ -684,7 +685,7 @@ mod tests {
                         offsets,
                         width,
                         mask,
-                    } => gpu_sim::banks::replays(offsets, *width, *mask, 32, 4),
+                    } => replays_scratch(offsets, *width, *mask, 32, 4, &mut BankScratch::new()),
                     _ => 0,
                 })
                 .sum()

@@ -265,6 +265,8 @@ pub fn stencil_application(n: usize, sweeps: usize) -> Application {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::banks::{replays_scratch, BankScratch};
+    use gpu_sim::coalesce::coalesce_into;
 
     fn grid(n: usize) -> Vec<f32> {
         (0..n * n).map(|i| ((i * 31) % 17) as f32 / 17.0).collect()
@@ -318,7 +320,7 @@ mod tests {
                     // Row-major 18-wide tile: lanes stride 1 word within a
                     // row; the 18-word row pitch avoids 2-way conflicts for
                     // the two half-warps.
-                    let r = gpu_sim::banks::replays(offsets, *width, *mask, 32, 4);
+                    let r = replays_scratch(offsets, *width, *mask, 32, 4, &mut BankScratch::new());
                     assert!(r <= 1, "replays {r}");
                 }
             }
@@ -334,7 +336,9 @@ mod tests {
             .iter()
             .filter_map(|i| match i {
                 WarpInstruction::LoadGlobal { addrs, width, mask } => {
-                    Some(gpu_sim::coalesce::coalesce(addrs, *width, *mask, 128).len())
+                    let mut lines = Vec::new();
+                    coalesce_into(addrs, *width, *mask, 128, &mut lines);
+                    Some(lines.len())
                 }
                 _ => None,
             })

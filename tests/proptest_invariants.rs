@@ -2,8 +2,8 @@
 //! exercised through the public API of the suite.
 
 use blackforest_suite::forest::{ForestParams, RandomForest};
-use blackforest_suite::gpu_sim::banks::conflict_degree;
-use blackforest_suite::gpu_sim::coalesce::coalesce;
+use blackforest_suite::gpu_sim::banks::{conflict_degree_scratch, BankScratch};
+use blackforest_suite::gpu_sim::coalesce::coalesce_into;
 use blackforest_suite::linalg::{stats, Matrix, SymmetricEigen};
 use blackforest_suite::pca::{varimax, varimax::varimax_criterion, Pca, PcaOptions};
 use blackforest_suite::regress::{Mars, MarsParams, PolynomialModel};
@@ -136,16 +136,17 @@ proptest! {
     ) {
         // 4-byte accesses at 4-byte alignment never straddle segments.
         let aligned: Vec<u64> = addrs.iter().map(|a| a & !3).collect();
-        let t = coalesce(&aligned, 4, mask, 128);
+        let mut t = Vec::new();
+        coalesce_into(&aligned, 4, mask, 128, &mut t);
         let active = mask.count_ones() as usize;
         prop_assert!(!t.is_empty());
         prop_assert!(t.len() <= active);
         // Deduplicated, sorted, aligned.
         for w in t.windows(2) {
-            prop_assert!(w[0].addr < w[1].addr);
+            prop_assert!(w[0] < w[1]);
         }
         for tr in &t {
-            prop_assert_eq!(tr.addr % 128, 0);
+            prop_assert_eq!(tr % 128, 0);
         }
     }
 
@@ -156,7 +157,7 @@ proptest! {
         mask in 1u32..=u32::MAX,
     ) {
         let aligned: Vec<u32> = offsets.iter().map(|o| o & !3).collect();
-        let d = conflict_degree(&aligned, 4, mask, 32, 4);
+        let d = conflict_degree_scratch(&aligned, 4, mask, 32, 4, &mut BankScratch::new());
         prop_assert!(d >= 1);
         prop_assert!(d <= mask.count_ones().max(1));
     }

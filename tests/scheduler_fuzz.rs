@@ -1,9 +1,10 @@
-//! Property tests of the SM event scheduler: for arbitrary well-formed
-//! traces (matched barriers across warps), the simulation must terminate,
-//! produce self-consistent counters, and respect basic monotonicity.
+//! Property tests of the SM event scheduler (the SoA engine the launch
+//! engine runs): for arbitrary well-formed traces (matched barriers across
+//! warps), the simulation must terminate, produce self-consistent counters,
+//! and respect basic monotonicity.
 
 use blackforest_suite::gpu_sim::cache::Cache;
-use blackforest_suite::gpu_sim::sm::simulate_sm;
+use blackforest_suite::gpu_sim::soa::{simulate_resident_set, SmResult};
 use blackforest_suite::gpu_sim::trace::{BlockTrace, WarpInstruction, FULL_MASK};
 use blackforest_suite::gpu_sim::GpuConfig;
 use proptest::prelude::*;
@@ -89,10 +90,10 @@ fn block_strategy() -> impl Strategy<Value = BlockTrace> {
         })
 }
 
-fn run(gpu: &GpuConfig, blocks: &[BlockTrace]) -> blackforest_suite::gpu_sim::sm::SmResult {
+fn run(gpu: &GpuConfig, blocks: &[BlockTrace]) -> SmResult {
     let mut l1 = Cache::new(gpu.l1_size, gpu.l1_line, gpu.l1_assoc);
     let mut l2 = Cache::new(gpu.l2_size / gpu.num_sms, 32, gpu.l2_assoc);
-    simulate_sm(gpu, blocks, &mut l1, &mut l2).expect("valid trace must simulate")
+    simulate_resident_set(gpu, blocks, &mut l1, &mut l2).expect("valid trace must simulate")
 }
 
 proptest! {
