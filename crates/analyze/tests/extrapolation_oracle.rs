@@ -9,9 +9,9 @@
 //! occupancy exact, over reduce0..6, NW, and the stencil, on both GPU
 //! generations.
 //!
-//! Both engine modes are pinned explicitly (options passed directly, no
-//! environment racing), so a regression in either the extrapolation rule
-//! or its stabilisation guard fails here regardless of `BF_SIM_LOOP_EXTRAP`.
+//! Both engine modes are pinned explicitly (options passed directly), so a
+//! regression in either the extrapolation rule or its stabilisation guard
+//! fails here whatever the default engine options are.
 
 use bf_analyze::oracle::compare;
 use bf_analyze::walk::analyze_launch;

@@ -712,7 +712,7 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
         }
         "predict" => {
             let size = args.size.ok_or("predict needs --size")?;
-            let (predictor, characteristics, label) = match &args.model {
+            let (bundle, label) = match &args.model {
                 Some(path) => {
                     let bundle = load_bundle(path)?;
                     if let Some(w) = args.workload.as_deref() {
@@ -725,11 +725,8 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
                             ));
                         }
                     }
-                    let chars = bundle
-                        .characteristics_for(size, None, None)
-                        .map_err(|e| e.to_string())?;
                     let label = format!("{} on {}", bundle.workload, bundle.gpu_name);
-                    (bundle.predictor, chars, label)
+                    (bundle, label)
                 }
                 None => {
                     let workload = workload_by_name(
@@ -739,33 +736,13 @@ fn run_command(args: &Args) -> Result<ExitCode, String> {
                     )?;
                     let bf = toolchain(args)?;
                     let sizes = default_sizes(workload, args.quick);
-                    let predictor = bf
-                        .analyze(workload, &sizes)
-                        .map_err(|e| e.to_string())?
-                        .predictor;
-                    let chars: Vec<f64> = workload
-                        .characteristics()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, name)| {
-                            if i == 0 {
-                                Ok(size)
-                            } else {
-                                Workload::default_characteristic(name)
-                                    .ok_or_else(|| format!("no default for characteristic {name}"))
-                            }
-                        })
-                        .collect::<Result<_, String>>()?;
-                    (
-                        predictor,
-                        chars,
-                        format!("{} on {}", workload.name(), args.gpu),
-                    )
+                    let report = bf.analyze(workload, &sizes).map_err(|e| e.to_string())?;
+                    let bundle = ModelBundle::from_report(&report, &bf.gpu, &sizes, args.quick);
+                    (bundle, format!("{} on {}", workload.name(), args.gpu))
                 }
             };
-            let t = predictor
-                .predict(&characteristics)
-                .map_err(|e| e.to_string())?;
+            let chars = bundle.characteristics_for(size, None, None)?;
+            let t = bundle.predict(&chars)?.predicted_ms;
             println!("{label}, size {size}: predicted execution time {t:.4} ms");
             Ok(ExitCode::SUCCESS)
         }

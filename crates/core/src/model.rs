@@ -267,15 +267,6 @@ impl BlackForestModel {
             .predict_row(row)
             .map_err(|e| BfError::Fit(e.to_string()))
     }
-
-    /// Batched [`Self::predict_selected`]: one pass per tree over the whole
-    /// batch through the level-order forest layout. Bit-identical per row
-    /// to the single-row path.
-    pub fn predict_selected_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        self.reduced_forest
-            .predict_batch(rows)
-            .map_err(|e| BfError::Fit(e.to_string()))
-    }
 }
 
 #[cfg(test)]

@@ -15,9 +15,19 @@ use crate::countermodel::{CounterModelSet, ModelStrategy};
 use crate::dataset::Dataset;
 use crate::model::{BlackForestModel, ModelConfig};
 use crate::{BfError, Result};
-use bf_forest::{ForestParams, RandomForest};
+use bf_forest::{FlatForest, ForestParams, RandomForest};
 use bf_linalg::stats;
 use serde::{Deserialize, Serialize};
+
+/// One answered prediction: the execution time and the per-counter values
+/// that fed the reduced forest.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Prediction {
+    /// Predicted execution time (ms).
+    pub predicted_ms: f64,
+    /// `(counter name, value)` pairs in retained-feature order.
+    pub counters: Vec<(String, f64)>,
+}
 
 /// A measured-vs-predicted pair for one evaluation point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,35 +92,75 @@ impl ProblemScalingPredictor {
 
     /// Predicts execution time from problem characteristics alone.
     pub fn predict(&self, characteristics: &[f64]) -> Result<f64> {
-        if characteristics.len() != self.counters.characteristics.len() {
-            return Err(BfError::Data(format!(
-                "expected {} characteristics, got {}",
-                self.counters.characteristics.len(),
-                characteristics.len()
-            )));
-        }
-        let row = self.counters.predict(characteristics);
-        self.model.predict_selected(&row)
+        Ok(self.predict_rows(&[characteristics], &[], None)?[0].predicted_ms)
     }
 
-    /// Batched [`Self::predict`]: counter models run per row (they are
-    /// closed-form and cheap), then the reduced forest evaluates the whole
-    /// batch in one pass per tree. Bit-identical per row to `predict`.
-    pub fn predict_batch(&self, characteristic_rows: &[Vec<f64>]) -> Result<Vec<f64>> {
+    /// The prediction chain, for a batch of characteristic rows. Every
+    /// caller prices through here:
+    ///
+    /// 1. each row must carry one value per characteristic;
+    /// 2. the counter models predict each row's retained counters;
+    /// 3. any counter named in `overrides` takes the supplied value (names
+    ///    the reduced forest did not retain are ignored — they cannot
+    ///    influence the prediction by construction);
+    /// 4. the reduced forest prices every row in one pass, through `flat`
+    ///    (the caller's compiled copy of `model.reduced_forest`) when given,
+    ///    else by walking the arena forest row by row — bit-identical;
+    /// 5. each row's counter names are paired with the values that fed the
+    ///    forest.
+    pub fn predict_rows<R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        overrides: &[(String, f64)],
+        flat: Option<&FlatForest>,
+    ) -> Result<Vec<Prediction>> {
         let want = self.counters.characteristics.len();
-        for chars in characteristic_rows {
-            if chars.len() != want {
-                return Err(BfError::Data(format!(
-                    "expected {want} characteristics, got {}",
-                    chars.len()
-                )));
-            }
+        if let Some(bad) = rows.iter().find(|r| r.as_ref().len() != want) {
+            return Err(BfError::Data(format!(
+                "expected {want} characteristics, got {}",
+                bad.as_ref().len()
+            )));
         }
-        let rows: Vec<Vec<f64>> = characteristic_rows
+        let models = &self.counters.models;
+        let overridden: Vec<(usize, f64)> = models
             .iter()
-            .map(|c| self.counters.predict(c))
+            .enumerate()
+            .filter_map(|(i, m)| {
+                let (_, v) = overrides.iter().find(|(n, _)| *n == m.counter)?;
+                Some((i, *v))
+            })
             .collect();
-        self.model.predict_selected_batch(&rows)
+        let counter_rows: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|chars| {
+                let mut values = self.counters.predict(chars.as_ref());
+                for &(i, v) in &overridden {
+                    values[i] = v;
+                }
+                values
+            })
+            .collect();
+        let times = match flat {
+            Some(flat) => flat
+                .predict_batch(&counter_rows)
+                .map_err(|e| BfError::Fit(e.to_string()))?,
+            None => counter_rows
+                .iter()
+                .map(|row| self.model.predict_selected(row))
+                .collect::<Result<_>>()?,
+        };
+        Ok(counter_rows
+            .into_iter()
+            .zip(times)
+            .map(|(values, predicted_ms)| Prediction {
+                predicted_ms,
+                counters: models
+                    .iter()
+                    .map(|m| m.counter.clone())
+                    .zip(values)
+                    .collect(),
+            })
+            .collect())
     }
 
     /// Evaluates the chain against the model's held-out test split (the
@@ -128,22 +178,24 @@ impl ProblemScalingPredictor {
                     .ok_or_else(|| BfError::Data(format!("characteristic {c} missing in test")))
             })
             .collect::<Result<_>>()?;
-        let mut points = Vec::new();
-        for (row, &t) in self
+        let chars: Vec<Vec<f64>> = self
             .model
             .test
             .rows
             .iter()
-            .zip(self.model.test.response.iter())
-        {
-            let chars: Vec<f64> = char_idx.iter().map(|&j| row[j]).collect();
-            let predicted_ms = self.predict(&chars)?;
-            points.push(PredictionPoint {
-                characteristics: chars,
-                predicted_ms,
-                measured_ms: t,
-            });
-        }
+            .map(|row| char_idx.iter().map(|&j| row[j]).collect())
+            .collect();
+        let predictions = self.predict_rows(&chars, &[], None)?;
+        let mut points: Vec<PredictionPoint> = chars
+            .into_iter()
+            .zip(predictions)
+            .zip(&self.model.test.response)
+            .map(|((characteristics, p), &measured_ms)| PredictionPoint {
+                characteristics,
+                predicted_ms: p.predicted_ms,
+                measured_ms,
+            })
+            .collect();
         points.sort_by(|a, b| {
             a.characteristics[0]
                 .partial_cmp(&b.characteristics[0])
@@ -407,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_bit_identical_to_single_predictions() {
+    fn predict_rows_is_bit_identical_through_either_forest_walk() {
         let data = mm_dataset(&GpuConfig::gtx580(), false);
         let p = ProblemScalingPredictor::fit(
             &data,
@@ -420,13 +472,43 @@ mod tests {
             .iter()
             .map(|&s| vec![s])
             .collect();
-        let batch = p.predict_batch(&queries).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(batch.iter()) {
-            assert_eq!(p.predict(q).unwrap().to_bits(), b.to_bits());
+        let flat = FlatForest::from_forest(&p.model.reduced_forest);
+        let arena = p.predict_rows(&queries, &[], None).unwrap();
+        let compiled = p.predict_rows(&queries, &[], Some(&flat)).unwrap();
+        assert_eq!(arena.len(), queries.len());
+        for ((q, a), c) in queries.iter().zip(&arena).zip(&compiled) {
+            assert_eq!(p.predict(q).unwrap().to_bits(), a.predicted_ms.to_bits());
+            assert_eq!(a.predicted_ms.to_bits(), c.predicted_ms.to_bits());
+            assert_eq!(a.counters, c.counters);
+            let names: Vec<&str> = a.counters.iter().map(|(n, _)| n.as_str()).collect();
+            assert_eq!(names, p.model.selected);
         }
         // Arity errors surface for any bad row in the batch.
-        assert!(p.predict_batch(&[vec![1.0, 2.0]]).is_err());
+        let err = p
+            .predict_rows(&[vec![1.0], vec![1.0, 2.0]], &[], Some(&flat))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "data error: expected 1 characteristics, got 2"
+        );
+    }
+
+    #[test]
+    fn overrides_replace_retained_counters_by_name() {
+        let data = mm_dataset(&GpuConfig::gtx580(), false);
+        let p = ProblemScalingPredictor::fit(
+            &data,
+            &ModelConfig::quick(39),
+            &["size"],
+            ModelStrategy::Glm,
+        )
+        .unwrap();
+        let base = p.predict_rows(&[[160.0]], &[], None).unwrap().remove(0);
+        let (name, _) = base.counters[0].clone();
+        let pinned = vec![(name.clone(), 1e9), ("not_retained".into(), -1.0)];
+        let got = p.predict_rows(&[[160.0]], &pinned, None).unwrap().remove(0);
+        assert_eq!(got.counters[0], (name, 1e9));
+        assert_eq!(got.counters[1..], base.counters[1..]);
     }
 
     #[test]

@@ -202,18 +202,6 @@ impl FlatForest {
     }
 }
 
-impl RandomForest {
-    /// Batched prediction through the level-order layout: recompiles the
-    /// forest (one breadth-first pass) and runs one pass per tree over the
-    /// whole batch. Bit-identical to [`RandomForest::predict`].
-    ///
-    /// Callers that predict repeatedly should build a [`FlatForest`] once
-    /// via [`FlatForest::from_forest`] and reuse it.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        FlatForest::from_forest(self).predict_batch(rows)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +265,7 @@ mod tests {
         .unwrap();
         let queries = query_grid();
         let one_by_one = f.predict(&queries).unwrap();
-        let batched = f.predict_batch(&queries).unwrap();
+        let batched = FlatForest::from_forest(&f).predict_batch(&queries).unwrap();
         assert_eq!(one_by_one.len(), batched.len());
         for (i, (a, b)) in one_by_one.iter().zip(batched.iter()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
@@ -295,7 +283,7 @@ mod tests {
         .unwrap();
         let q = vec![vec![f64::NAN, 5.0, 0.5], vec![30.0, f64::NAN, f64::NAN]];
         let arena: Vec<f64> = q.iter().map(|r| f.predict_row(r).unwrap()).collect();
-        let batched = f.predict_batch(&q).unwrap();
+        let batched = FlatForest::from_forest(&f).predict_batch(&q).unwrap();
         for (a, b) in arena.iter().zip(batched.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -310,7 +298,7 @@ mod tests {
             &ForestParams::default().with_trees(10).with_seed(24),
         )
         .unwrap();
-        let err = f
+        let err = FlatForest::from_forest(&f)
             .predict_batch(&[vec![1.0, 2.0, 3.0], vec![1.0]])
             .unwrap_err();
         assert!(matches!(
@@ -331,7 +319,10 @@ mod tests {
             &ForestParams::default().with_trees(10).with_seed(25),
         )
         .unwrap();
-        assert_eq!(f.predict_batch(&[]).unwrap(), Vec::<f64>::new());
+        assert_eq!(
+            FlatForest::from_forest(&f).predict_batch(&[]).unwrap(),
+            Vec::<f64>::new()
+        );
     }
 
     #[test]

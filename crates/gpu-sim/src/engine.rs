@@ -67,18 +67,9 @@ pub struct EngineOptions {
 impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
-            loop_extrapolation: loop_extrapolation_enabled(),
+            loop_extrapolation: true,
         }
     }
-}
-
-/// Whether the stock profiling paths extrapolate steady-state loops: true
-/// unless `BF_SIM_LOOP_EXTRAP` is set to `0` or `off`.
-pub fn loop_extrapolation_enabled() -> bool {
-    !matches!(
-        std::env::var("BF_SIM_LOOP_EXTRAP").as_deref(),
-        Ok("0") | Ok("off")
-    )
 }
 
 /// The cold cache state every launch simulation starts from: fresh L1 plus

@@ -71,8 +71,7 @@ pub use builder::TraceBuilder;
 pub use counters::{CounterSet, RawEvents};
 pub use diskcache::DiskCache;
 pub use engine::{
-    loop_extrapolation_enabled, sample_block_ids, simulate_launch, simulate_sampled_launch_with,
-    EngineOptions, LaunchResult,
+    sample_block_ids, simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult,
 };
 pub use memo::{
     cache_enabled, global_cache_stats, global_disk_cache_stats, reset_global_cache_stats,

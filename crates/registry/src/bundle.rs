@@ -10,9 +10,9 @@
 //! instead of a deep deserialization error.
 
 use blackforest::bottleneck::BottleneckReport;
+pub use blackforest::predict::Prediction;
 use blackforest::predict::ProblemScalingPredictor;
 use blackforest::toolchain::{AnalysisReport, Workload};
-use blackforest::BfError;
 use gpu_sim::GpuConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
@@ -183,11 +183,15 @@ impl ModelBundle {
             .map_err(|e| BundleError::Format(format!("{}: decode bundle: {e}", path.display())))
     }
 
-    /// A stable content identifier: a hash of the serialized bundle. Used
-    /// to key the server's prediction cache so a reloaded (different)
-    /// bundle can never serve another bundle's cached answers.
+    /// A stable content identifier: a hash of the serialized bundle,
+    /// leaving out `sweep.created_unix`, its only wall-clock field, so a
+    /// re-train of the same model keeps its id. Used to key the server's
+    /// prediction cache so a reloaded (different) bundle can never serve
+    /// another bundle's cached answers.
     pub fn content_id(&self) -> u64 {
-        let json = serde_json::to_string(self).unwrap_or_default();
+        let mut unstamped = self.clone();
+        unstamped.sweep.created_unix = 0;
+        let json = serde_json::to_string(&unstamped).unwrap_or_default();
         let mut h = DefaultHasher::new();
         json.hash(&mut h);
         h.finish()
@@ -227,52 +231,26 @@ impl ModelBundle {
             .collect()
     }
 
-    /// Runs the prediction chain: characteristics → per-counter predictions
-    /// → execution time. Bit-identical to the in-memory
-    /// [`ProblemScalingPredictor::predict`]: the counter models run once,
-    /// and the reduced forest prices that same row, which is also exposed
-    /// as the per-counter predictions.
+    /// Runs the prediction chain for one characteristic vector; see
+    /// [`ProblemScalingPredictor::predict_rows`].
     pub fn predict(&self, chars: &[f64]) -> Result<Prediction, String> {
-        let want = self.predictor.counters.characteristics.len();
-        if chars.len() != want {
-            return Err(BfError::Data(format!(
-                "expected {want} characteristics, got {}",
-                chars.len()
-            ))
-            .to_string());
-        }
-        let values = self.predictor.counters.predict(chars);
-        let predicted_ms = self
+        let mut answers = self
             .predictor
-            .model
-            .predict_selected(&values)
+            .predict_rows(&[chars], &[], None)
             .map_err(|e| e.to_string())?;
-        let counters = self
-            .predictor
-            .counters
-            .models
-            .iter()
-            .zip(values)
-            .map(|(m, v)| (m.counter.clone(), v))
-            .collect();
-        Ok(Prediction {
-            predicted_ms,
-            counters,
-        })
+        Ok(answers.remove(0))
     }
 
     /// Runs the prediction chain with explicit counter overrides: the
     /// characteristic vector is assembled by name (workload defaults fill
-    /// unsupplied secondaries), each retained counter is predicted as
-    /// usual, then any counter named in `overrides` is replaced with the
-    /// supplied value before the reduced forest prices the row.
+    /// unsupplied secondaries), then [`ProblemScalingPredictor::predict_rows`]
+    /// replaces any retained counter named in `overrides` before the
+    /// reduced forest prices the row.
     ///
     /// This is the engine behind the lint what-if estimator: the overrides
     /// are statically derived counters of a hypothetical (baseline or
     /// fixed) kernel, so the difference between two calls prices the fix
-    /// in predicted milliseconds. Overridden counters that the reduced
-    /// forest did not retain are ignored — they cannot influence the
-    /// prediction by construction.
+    /// in predicted milliseconds.
     pub fn predict_ms_with(
         &self,
         chars: &[(String, f64)],
@@ -290,16 +268,11 @@ impl ModelBundle {
                     .ok_or_else(|| format!("characteristic {name} required but not supplied"))
             })
             .collect::<Result<_, _>>()?;
-        let mut row = self.predictor.counters.predict(&char_values);
-        for (i, m) in self.predictor.counters.models.iter().enumerate() {
-            if let Some((_, v)) = overrides.iter().find(|(n, _)| n == &m.counter) {
-                row[i] = *v;
-            }
-        }
-        self.predictor
-            .model
-            .predict_selected(&row)
-            .map_err(|e| e.to_string())
+        let answers = self
+            .predictor
+            .predict_rows(&[char_values], overrides, None)
+            .map_err(|e| e.to_string())?;
+        Ok(answers[0].predicted_ms)
     }
 }
 
@@ -311,16 +284,6 @@ impl bf_analyze::WhatIfModel for ModelBundle {
     ) -> Result<f64, String> {
         self.predict_ms_with(characteristics, overrides)
     }
-}
-
-/// One answered prediction: the execution time and the intermediate
-/// per-counter predictions that fed the reduced forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Prediction {
-    /// Predicted execution time (ms).
-    pub predicted_ms: f64,
-    /// `(counter name, predicted value)` pairs in retained-feature order.
-    pub counters: Vec<(String, f64)>,
 }
 
 #[cfg(test)]
@@ -409,12 +372,27 @@ mod tests {
     }
 
     #[test]
-    fn content_id_distinguishes_bundles() {
+    fn content_id_ignores_only_the_creation_time() {
         let (a, _) = quick_bundle(403);
-        let mut b = a.clone();
-        assert_eq!(a.content_id(), b.content_id());
-        b.gpu_fingerprint ^= 1;
-        assert_ne!(a.content_id(), b.content_id());
+        let mut retrained = a.clone();
+        retrained.sweep.created_unix += 3600;
+        assert_eq!(a.content_id(), retrained.content_id());
+        let edits: [fn(&mut ModelBundle); 7] = [
+            |b| b.gpu_fingerprint ^= 1,
+            |b| b.workload.push('x'),
+            |b| b.sweep.n_runs += 1,
+            |b| b.sweep.quick = !b.sweep.quick,
+            |b| b.sweep.sizes.push(1),
+            |b| b.selected.push("extra".into()),
+            |b| {
+                b.predictor.counters.models.pop();
+            },
+        ];
+        for edit in edits {
+            let mut b = a.clone();
+            edit(&mut b);
+            assert_ne!(a.content_id(), b.content_id());
+        }
     }
 
     #[test]

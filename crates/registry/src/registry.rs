@@ -61,24 +61,43 @@ pub struct LoadedModel {
 }
 
 impl LoadedModel {
-    fn build(bundle: ModelBundle, source: Option<PathBuf>) -> LoadedModel {
+    /// Compiles and warms a bundle for serving. A bundle whose prediction
+    /// chain cannot run — characteristics, counter models and reduced-forest
+    /// width disagree — is refused, so it is never published.
+    fn build(bundle: ModelBundle, source: Option<PathBuf>) -> Result<LoadedModel, BundleError> {
         let mut span = bf_trace::span!("registry.load", workload = bundle.workload.as_str());
+        let chain = &bundle.predictor;
+        if bundle.characteristics != chain.counters.characteristics {
+            return Err(BundleError::Format(format!(
+                "bundle characteristics {:?} disagree with the counter models' {:?}",
+                bundle.characteristics, chain.counters.characteristics
+            )));
+        }
+        let flat = FlatForest::from_forest(&chain.model.reduced_forest);
+        if chain.counters.models.len() != flat.n_features() {
+            return Err(BundleError::Format(format!(
+                "{} counter models cannot feed a reduced forest of width {}",
+                chain.counters.models.len(),
+                flat.n_features()
+            )));
+        }
         let content_id = bundle.content_id();
-        let flat = FlatForest::from_forest(&bundle.predictor.model.reduced_forest);
         // Fault every page of the compiled layout before publication, so
         // the first request after a hot swap pays no first-touch cost.
         let warm_checksum = flat.warm();
         // One end-to-end prediction warms the counter-model path too.
         if let Some(&size) = bundle.sweep.sizes.get(bundle.sweep.sizes.len() / 2) {
             if let Ok(chars) = bundle.characteristics_for(size as f64, None, None) {
-                let _ = bundle.predict(&chars);
+                chain
+                    .predict_rows(&[chars], &[], Some(&flat))
+                    .map_err(|e| BundleError::Format(format!("warm-up prediction: {e}")))?;
             }
         }
         if span.is_active() {
             span.attr("content_id", format!("{content_id:016x}").as_str());
             span.attr("trees", flat.n_trees() as u64);
         }
-        LoadedModel {
+        Ok(LoadedModel {
             bundle,
             content_id,
             flat,
@@ -87,7 +106,7 @@ impl LoadedModel {
             loaded_unix: now_unix(),
             served_requests: AtomicU64::new(0),
             served_rows: AtomicU64::new(0),
-        }
+        })
     }
 
     /// The model's address in hex, as used in URLs and metric labels.
@@ -380,7 +399,7 @@ impl Registry {
         bundle: ModelBundle,
         source: Option<PathBuf>,
     ) -> Result<u64, RegistryError> {
-        let model = Arc::new(LoadedModel::build(bundle, source));
+        let model = Arc::new(LoadedModel::build(bundle, source)?);
         let id = model.content_id;
         self.publish(|table| {
             if table.model(id).is_none() {

@@ -81,35 +81,33 @@ struct ShadowAccum {
 }
 
 impl ShadowAccum {
-    /// Folds one evaluated job into the running aggregates.
+    /// Folds one evaluated job into the running aggregates. `shadow_ms` is
+    /// `None` when the shadow could not price the job (e.g. schema drift):
+    /// every row then counts as an error.
     fn record(
         &mut self,
         workload: &str,
         pair: String,
         primary_ms: &[f64],
-        shadow_ms: &[Result<f64, String>],
+        shadow_ms: Option<&[f64]>,
     ) {
         self.requests += 1;
         let entry = self.per_workload.entry(workload.to_string()).or_default();
-        let mut pair_rows = 0u64;
+        let pair_rows = self.pairs.entry(pair).or_insert(0);
+        let Some(shadow_ms) = shadow_ms else {
+            self.errors += primary_ms.len() as u64;
+            return;
+        };
         for (primary, shadow) in primary_ms.iter().zip(shadow_ms) {
-            let shadow = match shadow {
-                Ok(v) => *v,
-                Err(_) => {
-                    self.errors += 1;
-                    continue;
-                }
-            };
             let rel = (shadow - primary).abs() / primary.abs().max(1e-12);
             self.rows += 1;
-            pair_rows += 1;
+            *pair_rows += 1;
             self.sum_rel += rel;
             self.max_rel = self.max_rel.max(rel);
             entry.rows += 1;
             entry.sum_rel_delta += rel;
             entry.max_rel_delta = entry.max_rel_delta.max(rel);
         }
-        *self.pairs.entry(pair).or_insert(0) += pair_rows;
     }
 
     fn report(&self, dropped: u64) -> ShadowReport {
@@ -162,24 +160,20 @@ impl ShadowEngine {
             .spawn(move || {
                 while let Ok(job) = rx.recv() {
                     let _span = bf_trace::span!("shadow.replay", rows = job.rows.len());
-                    let shadow_ms: Vec<Result<f64, String>> = job
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            job.shadow
-                                .bundle
-                                .predictor
-                                .predict(row)
-                                .map_err(|e| e.to_string())
-                        })
-                        .collect();
+                    let shadow = &job.shadow;
+                    let shadow_ms: Option<Vec<f64>> = shadow
+                        .bundle
+                        .predictor
+                        .predict_rows(&job.rows, &[], Some(&shadow.flat))
+                        .ok()
+                        .map(|answers| answers.iter().map(|p| p.predicted_ms).collect());
                     bf_trace::counter!("serve.shadow.replayed");
-                    let pair = format!("{:016x}→{}", job.primary_id, job.shadow.id_hex());
+                    let pair = format!("{:016x}→{}", job.primary_id, shadow.id_hex());
                     worker_accum.lock().unwrap().record(
                         &job.workload,
                         pair,
                         &job.primary_ms,
-                        &shadow_ms,
+                        shadow_ms.as_deref(),
                     );
                 }
             })
@@ -283,7 +277,7 @@ mod tests {
             "reduce1",
             "aaaa→bbbb".into(),
             &[10.0, 100.0],
-            &[Ok(11.0), Ok(90.0)],
+            Some(&[11.0, 90.0]),
         );
         let report = acc.report(3);
         assert_eq!(report.requests, 1);
@@ -299,12 +293,7 @@ mod tests {
         assert_eq!(report.pairs.get("aaaa→bbbb"), Some(&2));
 
         // Errors count separately and never poison the aggregates.
-        acc.record(
-            "reduce1",
-            "aaaa→bbbb".into(),
-            &[5.0],
-            &[Err("drift".into())],
-        );
+        acc.record("reduce1", "aaaa→bbbb".into(), &[5.0], None);
         let report = acc.report(3);
         assert_eq!(report.errors, 1);
         assert_eq!(report.rows, 2);
@@ -313,7 +302,7 @@ mod tests {
     #[test]
     fn report_round_trips_through_json() {
         let mut acc = ShadowAccum::default();
-        acc.record("stencil", "aaaa→bbbb".into(), &[2.0], &[Ok(3.0)]);
+        acc.record("stencil", "aaaa→bbbb".into(), &[2.0], Some(&[3.0]));
         let report = acc.report(0);
         let json = serde_json::to_string(&report).unwrap();
         let back: ShadowReport = serde_json::from_str(&json).unwrap();
@@ -325,7 +314,7 @@ mod tests {
     #[test]
     fn zero_primary_uses_epsilon_floor() {
         let mut acc = ShadowAccum::default();
-        acc.record("reduce1", "p→s".into(), &[0.0], &[Ok(0.0)]);
+        acc.record("reduce1", "p→s".into(), &[0.0], Some(&[0.0]));
         let report = acc.report(0);
         assert_eq!(report.rows, 1);
         assert_eq!(report.max_rel_delta, 0.0);

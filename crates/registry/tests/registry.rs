@@ -2,7 +2,9 @@
 //! swap → drain, A/B splits, admin validation errors, and the shadow
 //! replay engine end-to-end.
 
-use bf_registry::{AliasUpdate, ModelBundle, Registry, RegistryError, ShadowJob, Split};
+use bf_registry::{
+    AliasUpdate, BundleError, ModelBundle, Registry, RegistryError, ShadowJob, Split,
+};
 use blackforest::{BlackForest, ModelConfig, Workload};
 use gpu_sim::GpuConfig;
 use std::sync::atomic::Ordering;
@@ -75,6 +77,38 @@ fn load_alias_resolve_and_hot_swap() {
     // Warm-up provably ran before publication on both models.
     assert_eq!(before.model.warm_checksum, before.model.flat.warm());
     assert_eq!(after.model.warm_checksum, after.model.flat.warm());
+}
+
+#[test]
+fn bundle_whose_chain_cannot_run_is_refused_and_nothing_is_published() {
+    let (a, _) = bundles();
+    let registry = Registry::new();
+    let id_a = registry.load_bundle(a.clone()).unwrap();
+    let before = registry.list();
+
+    let mut short = a.clone();
+    short.predictor.counters.models.pop();
+    let mut renamed = a.clone();
+    renamed.characteristics[0] = "mystery".into();
+    for (tampered, mismatch) in [
+        (short, "cannot feed a reduced forest of width"),
+        (renamed, "disagree with the counter models'"),
+    ] {
+        let err = registry.load_bundle(tampered).unwrap_err();
+        assert!(
+            matches!(&err, RegistryError::Bundle(BundleError::Format(msg)) if msg.contains(mismatch)),
+            "{err}"
+        );
+        assert_eq!(err.http_status(), 400);
+    }
+
+    let after = registry.list();
+    assert_eq!(
+        after.epoch, before.epoch,
+        "a refused load publishes nothing"
+    );
+    let ids: Vec<String> = after.models.iter().map(|m| m.id.clone()).collect();
+    assert_eq!(ids, vec![format!("{id_a:016x}")]);
 }
 
 #[test]
@@ -217,9 +251,11 @@ fn alias_validation_unknown_alias_fingerprint_and_compatibility() {
         })
         .unwrap();
 
-    // A shadow with a different characteristic schema is rejected.
+    // A shadow with a different characteristic schema is rejected (the
+    // rename reaches the counter models too, so the bundle itself loads).
     let mut skewed = a.clone();
-    skewed.characteristics.push("sweeps".into());
+    skewed.characteristics = vec!["width".into()];
+    skewed.predictor.counters.characteristics = vec!["width".into()];
     let id_skewed = registry.load_bundle(skewed).unwrap();
     let err = registry
         .set_alias(AliasUpdate {

@@ -634,10 +634,10 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
 }
 
 /// Evaluates canonicalized characteristic rows against one resolved model:
-/// per-row cache lookups, then one pass per tree over all misses through
-/// the model's pre-flattened forest. Returns `(prediction, was_cached)`
-/// per row, in order. Bit-identical to calling [`ModelBundle::predict`]
-/// row by row.
+/// per-row cache lookups, then one prediction-chain call over all misses
+/// through the model's pre-flattened forest. Returns `(prediction,
+/// was_cached)` per row, in order. Bit-identical to calling
+/// [`ModelBundle::predict`] row by row.
 pub(crate) fn predict_rows(
     state: &ServerState,
     model: &Arc<LoadedModel>,
@@ -673,42 +673,15 @@ pub(crate) fn predict_rows(
     }
 
     if !misses.is_empty() {
-        let predictor = &model.bundle.predictor;
-        let want = predictor.counters.characteristics.len();
-        for (i, _) in &misses {
-            if rows[*i].len() != want {
-                return Err(format!(
-                    "expected {want} characteristics, got {}",
-                    rows[*i].len()
-                ));
-            }
-        }
-        // Counter models per row (cheap, closed-form), then the reduced
-        // forest over the whole miss set in one pass per tree. The counter
-        // rows double as the exposed per-counter predictions — exactly the
-        // values `ModelBundle::predict` reports.
-        let counter_rows: Vec<Vec<f64>> = misses
-            .iter()
-            .map(|(i, _)| predictor.counters.predict(&rows[*i]))
-            .collect();
-        let times = model
-            .flat
-            .predict_batch(&counter_rows)
+        let miss_rows: Vec<&Vec<f64>> = misses.iter().map(|(i, _)| &rows[*i]).collect();
+        let predictions = model
+            .bundle
+            .predictor
+            .predict_rows(&miss_rows, &[], Some(&model.flat))
             .map_err(|e| e.to_string())?;
         state.metrics.observe_batch(misses.len() as u64);
         let mut cache = state.cache.lock().unwrap();
-        for (((i, key), values), predicted_ms) in misses.into_iter().zip(counter_rows).zip(times) {
-            let counters = predictor
-                .counters
-                .models
-                .iter()
-                .zip(values)
-                .map(|(m, v)| (m.counter.clone(), v))
-                .collect();
-            let p = Prediction {
-                predicted_ms,
-                counters,
-            };
+        for ((i, key), p) in misses.into_iter().zip(predictions) {
             if let Some((evicted_key, _)) = cache.insert(key, p.clone()) {
                 state.metrics.cache_evicted(evicted_key.0);
                 bf_trace::counter!("serve.predict_cache.evictions");
