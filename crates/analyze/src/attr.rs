@@ -220,7 +220,7 @@ impl SampledLaunch {
 
         let mut sectors = Vec::new();
         let mut warps = self.warps();
-        for (trace, &grid_block) in self.traces.iter().zip(&self.ids) {
+        for (trace, &grid_block) in self.blocks.traces.iter().zip(&self.blocks.ids) {
             if trace.warps.is_empty() {
                 // A degenerate warpless trace still counts as a launched
                 // block.

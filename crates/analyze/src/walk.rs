@@ -1,11 +1,11 @@
 //! The static instruction walk: event counts and bottleneck metrics derived
 //! from a kernel's traces without running the cycle engine.
 //!
-//! The walk compiles exactly the blocks the dynamic engine would sample
-//! ([`gpu_sim::sample_block_ids`] with the occupancy-derived resident count)
-//! through the engine's own compile stage ([`gpu_sim::soa::compile`]), folds
-//! the compiled ops ([`fold_op`]), then scales to the full grid by the same
-//! `grid_blocks / sampled_blocks` factor. The per-instruction counting rules
+//! The walk compiles exactly the blocks the dynamic engine samples (its own
+//! sampler, [`gpu_sim::sample_blocks`]) through the engine's compile stage
+//! ([`gpu_sim::soa::compile`]), folds the compiled ops ([`fold_op`]), then
+//! scales to the full grid by the same `grid_blocks / sampled_blocks`
+//! factor. The per-instruction counting rules
 //! (lanes, replays, transactions, requested bytes) thus have one producer;
 //! the fold adds only the static-only counters and the profiles. Every
 //! counter with a dynamic counterpart is expected to match the simulator
@@ -18,10 +18,10 @@
 //! on DRAM read traffic.
 
 use gpu_sim::coalesce::coalesce_into;
-use gpu_sim::occupancy::{occupancy, Occupancy};
+use gpu_sim::occupancy::Occupancy;
 use gpu_sim::soa::{self, CompiledLaunch, Op, OpKind};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
-use gpu_sim::{sample_block_ids, GpuConfig, Result};
+use gpu_sim::trace::{KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::{sample_blocks, GpuConfig, Result, SampledBlocks};
 use serde::Serialize;
 
 /// Where in a kernel an interesting access lives: sampled block id, warp
@@ -364,58 +364,50 @@ pub fn analyze_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<Stati
     Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu))
 }
 
-/// One launch's sampled block traces and their compiled ops: the prologue
-/// the launch walk and the per-block attribution ([`crate::attr`]) share,
-/// so a caller that wants both generates and compiles the traces once.
+/// One launch's sampled blocks and their compiled ops: the prologue the
+/// launch walk and the per-block attribution ([`crate::attr`]) share, so a
+/// caller that wants both generates and compiles the traces once.
 pub(crate) struct SampledLaunch {
     /// Kernel name.
     pub kernel: String,
-    /// The launch configuration.
-    pub launch: LaunchConfig,
-    /// Theoretical occupancy and its limiter.
-    pub occupancy: Occupancy,
-    /// The representative block ids, in walk order.
-    pub ids: Vec<usize>,
-    /// The trace of each id in `ids`.
-    pub traces: Vec<BlockTrace>,
-    /// `traces` compiled by the engine's compile stage (which validates).
+    /// The blocks the dynamic engine would simulate, and their traces.
+    pub blocks: SampledBlocks,
+    /// `blocks.traces` compiled by the engine's compile stage (which
+    /// validates).
     compiled: CompiledLaunch,
 }
 
 impl SampledLaunch {
-    /// Samples the blocks the dynamic engine would
-    /// ([`gpu_sim::sample_block_ids`] with the occupancy-derived resident
-    /// count), generates their traces and compiles them.
+    /// Samples the blocks the dynamic engine would, through its own sampler
+    /// ([`gpu_sim::sample_blocks`]), and compiles their traces.
     pub fn new(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledLaunch> {
-        let launch = kernel.launch_config();
-        let occupancy = occupancy(gpu, &launch)?;
-        let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
-        let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-        let compiled = soa::compile(gpu, &traces)?;
+        let blocks = sample_blocks(gpu, kernel)?;
+        let compiled = soa::compile(gpu, &blocks.traces)?;
         Ok(SampledLaunch {
             kernel: kernel.name(),
-            launch,
-            occupancy,
-            ids,
-            traces,
+            blocks,
             compiled,
         })
     }
 
     /// Grid scaling factor: grid blocks per sampled block.
     pub fn scale(&self) -> f64 {
-        self.launch.grid_blocks as f64 / self.traces.len() as f64
+        self.blocks.launch.grid_blocks as f64 / self.blocks.traces.len() as f64
     }
 
     /// Every sampled warp in walk order: where its stream starts, the
     /// stream, and its compiled ops (one per instruction).
     pub fn warps(&self) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
-        let streams = self.traces.iter().flat_map(|t| t.warps.iter().enumerate());
+        let streams = self
+            .blocks
+            .traces
+            .iter()
+            .flat_map(|t| t.warps.iter().enumerate());
         streams
             .zip(self.compiled.warps())
             .map(|((warp, stream), (block, ops))| {
                 let loc = Location {
-                    block: self.ids[block],
+                    block: self.blocks.ids[block],
                     warp,
                     instruction: 0,
                 };
@@ -427,7 +419,7 @@ impl SampledLaunch {
     pub fn walk(&self, gpu: &GpuConfig) -> StaticLaunchAnalysis {
         let mut acc = Accumulator::default();
         let mut sectors = Vec::new();
-        acc.counts.blocks_launched = self.traces.len() as f64;
+        acc.counts.blocks_launched = self.blocks.traces.len() as f64;
         for (loc, stream, ops) in self.warps() {
             acc.counts.warps_launched += 1.0;
             for (i, (op, instr)) in ops.iter().zip(stream).enumerate() {
@@ -442,9 +434,9 @@ impl SampledLaunch {
         let scale = self.scale();
         StaticLaunchAnalysis {
             kernel: self.kernel.clone(),
-            launch: self.launch,
-            occupancy: self.occupancy,
-            sampled_blocks: self.ids.clone(),
+            launch: self.blocks.launch,
+            occupancy: self.blocks.occupancy,
+            sampled_blocks: self.blocks.ids.clone(),
             scale,
             counts: acc.counts.scaled(scale),
             shared: acc.shared,
@@ -635,7 +627,7 @@ fn record_access(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::trace::FULL_MASK;
+    use gpu_sim::trace::{BlockTrace, FULL_MASK};
 
     /// A tiny homogeneous kernel with one of everything.
     struct OneOfEach;

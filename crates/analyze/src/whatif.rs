@@ -18,9 +18,10 @@
 use crate::diag;
 use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis};
 use bf_kernels::Application;
-use gpu_sim::profiler::counter_on;
+use gpu_sim::counters::{raw_event_field_names, RAW_EVENT_FIELDS};
+use gpu_sim::profiler::derive_counters;
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
-use gpu_sim::{GpuConfig, Result};
+use gpu_sim::{GpuConfig, RawEvents, Result};
 
 /// A hypothetical fix for one warning mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,49 +146,51 @@ impl KernelTrace for FixedKernel<'_> {
     // launches in the memo cache.
 }
 
-/// Derives the statically-exact subset of the profiler's named counters from
-/// static counts, honouring per-architecture availability. Names and
-/// formulas mirror `gpu_sim::profiler::derive_counters` exactly — these are
+/// The profiler counters a static walk determines exactly: each is a
+/// function of statically exact raw events only. Time-dependent counters
+/// (throughputs, ipc, achieved occupancy, cache hits) have no static
+/// counterpart and are never overridden.
+const STATIC_COUNTERS: [&str; 20] = [
+    "shared_replay_overhead",
+    "shared_load",
+    "shared_store",
+    "inst_replay_overhead",
+    "l1_shared_bank_conflict",
+    "shared_load_replay",
+    "shared_store_replay",
+    "shared_ld_bank_conflict",
+    "shared_st_bank_conflict",
+    "gld_request",
+    "gst_request",
+    "global_load_transaction",
+    "global_store_transaction",
+    "l2_write_transactions",
+    "dram_write_transactions",
+    "warp_execution_efficiency",
+    "inst_executed",
+    "inst_issued",
+    "branch",
+    "divergent_branch",
+];
+
+/// The statically exact subset of the profiler's named counters on `gpu`:
+/// the static counts fill a [`RawEvents`] under their shared field names
+/// (timing and cache events stay zero), the profiler's own
+/// [`derive_counters`] names them, and the [`STATIC_COUNTERS`] are kept —
 /// the entries a [`WhatIfModel`] overrides in the model's counter row.
-/// Time-dependent counters (throughputs, ipc, achieved occupancy, cache
-/// hits) have no static counterpart and are never overridden.
 pub fn static_counter_values(gpu: &GpuConfig, c: &StaticCounts) -> Vec<(String, f64)> {
-    let inst_exec = c.inst_executed.max(1.0);
-    let shared_replays = c.shared_load_replay + c.shared_store_replay;
-    let candidates: [(&str, f64); 17] = [
-        ("shared_replay_overhead", shared_replays / inst_exec),
-        ("shared_load", c.shared_load),
-        ("shared_store", c.shared_store),
-        (
-            "inst_replay_overhead",
-            (c.inst_issued - c.inst_executed).max(0.0) / inst_exec,
-        ),
-        ("l1_shared_bank_conflict", shared_replays),
-        ("shared_load_replay", c.shared_load_replay),
-        ("shared_store_replay", c.shared_store_replay),
-        ("gld_request", c.gld_request),
-        ("gst_request", c.gst_request),
-        ("global_load_transaction", c.global_load_transactions),
-        ("global_store_transaction", c.global_store_transactions),
-        ("l2_write_transactions", c.l2_write_transactions),
-        ("dram_write_transactions", c.dram_write_transactions),
-        (
-            "warp_execution_efficiency",
-            (c.thread_inst_executed / (inst_exec * gpu.warp_size as f64)).min(1.0) * 100.0,
-        ),
-        ("inst_executed", c.inst_executed),
-        ("inst_issued", c.inst_issued),
-        ("branch", c.branch),
-    ];
-    let mut out: Vec<(String, f64)> = candidates
-        .iter()
-        .filter(|(name, _)| counter_on(name, gpu.arch))
-        .map(|(name, v)| (name.to_string(), *v))
-        .collect();
-    if counter_on("divergent_branch", gpu.arch) {
-        out.push(("divergent_branch".to_string(), c.divergent_branch));
+    let names = raw_event_field_names();
+    let mut events = [0.0; RAW_EVENT_FIELDS];
+    for (name, value) in c.fields() {
+        if let Some(i) = names.iter().position(|n| *n == name) {
+            events[i] = value;
+        }
     }
-    out
+    derive_counters(gpu, &RawEvents::from_array(events))
+        .iter()
+        .filter(|(name, _)| STATIC_COUNTERS.contains(name))
+        .map(|(name, v)| (name.to_string(), v))
+        .collect()
 }
 
 /// A model that can predict application time from named characteristics with

@@ -30,9 +30,8 @@ use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
 use gpu_sim::cache::Cache;
 use gpu_sim::counters::raw_event_field_names;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::trace::{BlockTrace, KernelTrace};
-use gpu_sim::{sample_block_ids, simulate_launch, GpuConfig};
+use gpu_sim::trace::KernelTrace;
+use gpu_sim::{sample_blocks, simulate_launch, GpuConfig};
 
 /// One GPU per architecture generation: Fermi, Kepler, Maxwell, Pascal,
 /// Volta. Each generation exercises a different global-memory path
@@ -46,15 +45,12 @@ fn gpus() -> Vec<GpuConfig> {
 /// the blocks the walk samples, from cold caches, scaled to the grid with
 /// the walk's single multiply.
 fn reference_events(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Vec<(&'static str, f64)> {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc).unwrap();
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+    let sampled = sample_blocks(gpu, kernel).unwrap();
     let l2_slice = (gpu.l2_size / gpu.num_sms).max(gpu.l2_line * gpu.l2_assoc);
     let mut l1 = Cache::new(gpu.l1_size, gpu.l1_tag_line(), gpu.l1_assoc);
     let mut l2 = Cache::new(l2_slice, gpu.l2_line.max(32), gpu.l2_assoc);
-    let r = reference::simulate_sm(gpu, &traces, &mut l1, &mut l2).unwrap();
-    let scale = lc.grid_blocks as f64 / traces.len() as f64;
+    let r = reference::simulate_sm(gpu, &sampled.traces, &mut l1, &mut l2).unwrap();
+    let scale = sampled.launch.grid_blocks as f64 / sampled.traces.len() as f64;
     let values = r.events.as_array().map(|v| v * scale);
     raw_event_field_names().into_iter().zip(values).collect()
 }

@@ -19,10 +19,8 @@ use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::occupancy::occupancy;
 use gpu_sim::{
-    sample_block_ids, simulate_sampled_launch_with, BlockTrace, EngineOptions, GpuConfig,
-    LaunchResult,
+    sample_blocks, simulate_sampled_launch_with, EngineOptions, GpuConfig, LaunchResult,
 };
 
 fn gpus() -> Vec<GpuConfig> {
@@ -36,18 +34,8 @@ fn simulate_with(
     kernel: &dyn gpu_sim::KernelTrace,
     loop_extrapolation: bool,
 ) -> LaunchResult {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc).unwrap();
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    simulate_sampled_launch_with(
-        gpu,
-        &lc,
-        occ,
-        &traces,
-        &EngineOptions { loop_extrapolation },
-    )
-    .unwrap()
+    let sampled = sample_blocks(gpu, kernel).unwrap();
+    simulate_sampled_launch_with(gpu, &sampled, &EngineOptions { loop_extrapolation }).unwrap()
 }
 
 fn assert_oracle_green(gpu: &GpuConfig, app: &Application, loop_extrapolation: bool) {

@@ -161,18 +161,6 @@ pub fn dataset_from_observations(
     Ok(ds)
 }
 
-/// Profiles a batch of applications and expands each profiled run into
-/// `repetitions` noisy measurements.
-///
-/// All launches of all applications go through
-/// [`gpu_sim::profile_applications`] as one flat, launch-level parallel job
-/// with a sweep-wide memoization cache: the parallel work unit is a single
-/// *launch*, so one 1000-launch NW job no longer serialises on a thread
-/// while the small jobs finish instantly, and structurally identical
-/// launches across the sweep (reduction tail passes, repeated stencil
-/// grids) simulate once. Observation order — and, by order-preserving
-/// accumulation, every profiled value — is identical to the sequential
-/// path.
 /// Statically derived per-application feature columns (see
 /// [`CollectOptions::include_static_features`]): launch-level analyses are
 /// aggregated over the application — sums for counts, totals-ratio for
@@ -245,6 +233,18 @@ fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f6
     ])
 }
 
+/// Profiles a batch of applications and expands each profiled run into
+/// `repetitions` noisy measurements.
+///
+/// All launches of all applications go through
+/// [`gpu_sim::profile_applications`] as one flat, launch-level parallel job
+/// with a sweep-wide memoization cache: the parallel work unit is a single
+/// *launch*, so one 1000-launch NW job no longer serialises on a thread
+/// while the small jobs finish instantly, and structurally identical
+/// launches across the sweep (reduction tail passes, repeated stencil
+/// grids) simulate once. Observation order — and, by order-preserving
+/// accumulation, every profiled value — is identical to the sequential
+/// path.
 fn profile_batch(
     gpu: &GpuConfig,
     mut jobs: Vec<(Application, Vec<(String, f64)>)>,
@@ -257,17 +257,16 @@ fn profile_batch(
             characteristics.extend(static_features(gpu, app)?);
         }
     }
-    // Per-batch memoization, layered over the persistent disk tier when
-    // BF_SIM_CACHE_DIR is set — repeated collection runs (NW sweeps most of
+    // Per-batch memoization (none under BF_SIM_CACHE=0), layered over the
+    // persistent disk tier when BF_SIM_CACHE_DIR is set — repeated collection runs (NW sweeps most of
     // all, whose launches are structurally unique within one run) then hit
     // the results a previous process already simulated.
     let cache = SimCache::from_env();
-    let cache = gpu_sim::cache_enabled().then_some(&cache);
     let apps: Vec<(&str, &[Box<dyn KernelTrace>])> = jobs
         .iter()
         .map(|(app, _)| (app.name.as_str(), app.launches.as_slice()))
         .collect();
-    let runs = gpu_sim::profile_applications(gpu, &apps, cache)?;
+    let runs = gpu_sim::profile_applications(gpu, &apps, cache.as_ref())?;
     let profiled: Vec<Observation> = runs
         .into_iter()
         .zip(jobs)

@@ -44,7 +44,7 @@ pub struct LaunchResult {
 /// Picks `count` representative block ids spread across `grid` blocks.
 /// An empty grid has no blocks to sample, so it yields no ids (rather than a
 /// phantom block 0 that no kernel ever launched).
-pub fn sample_block_ids(grid: usize, count: usize) -> Vec<usize> {
+fn sample_block_ids(grid: usize, count: usize) -> Vec<usize> {
     if grid == 0 {
         return Vec::new();
     }
@@ -85,39 +85,59 @@ fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
     )
 }
 
+/// One launch's representative blocks: its geometry and occupancy, the
+/// sampled block ids, and their traces.
+#[derive(Debug, Clone)]
+pub struct SampledBlocks {
+    /// The launch configuration.
+    pub launch: LaunchConfig,
+    /// Theoretical occupancy of `launch` on the GPU.
+    pub occupancy: Occupancy,
+    /// The sampled block ids, in simulation order.
+    pub ids: Vec<usize>,
+    /// The trace of each id in `ids`.
+    pub traces: Vec<BlockTrace>,
+}
+
+/// The block sampler every path from a launch to its counters shares: one
+/// resident set's worth of block ids (`sample_block_ids` with the
+/// occupancy-derived resident count) and their traces. The engine, the
+/// memo's miss path and the static walk all sample through here, so they
+/// always see the same blocks.
+pub fn sample_blocks(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledBlocks> {
+    let launch = kernel.launch_config();
+    let occupancy = occupancy(gpu, &launch)?;
+    let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
+    let traces = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+    Ok(SampledBlocks {
+        launch,
+        occupancy,
+        ids,
+        traces,
+    })
+}
+
 /// Simulates one kernel launch on the GPU.
 pub fn simulate_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<LaunchResult> {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc)?;
-    let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-    let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    simulate_sampled_launch(gpu, &lc, occ, &traces)
+    simulate_sampled_launch_with(gpu, &sample_blocks(gpu, kernel)?, &EngineOptions::default())
 }
 
-/// Simulates a launch from pre-built sampled block traces with the
-/// environment-default [`EngineOptions`]. `occ` must be the occupancy of
-/// `lc` on `gpu` and `traces` the representative blocks picked by
-/// [`sample_block_ids`] — [`simulate_launch`] wires these together; the
-/// memoization layer ([`crate::memo`]) calls this directly after hashing the
-/// traces, so a cache miss does not rebuild them.
-pub fn simulate_sampled_launch(
-    gpu: &GpuConfig,
-    lc: &LaunchConfig,
-    occ: Occupancy,
-    traces: &[BlockTrace],
-) -> Result<LaunchResult> {
-    simulate_sampled_launch_with(gpu, lc, occ, traces, &EngineOptions::default())
-}
-
-/// [`simulate_sampled_launch`] with explicit [`EngineOptions`] (tests pass
-/// options directly instead of racing on environment variables).
+/// Simulates a launch from its sampled blocks ([`sample_blocks`]) with
+/// explicit [`EngineOptions`]. The memoization layer ([`crate::memo`])
+/// calls this after hashing the traces, so a cache miss does not rebuild
+/// them; tests pass options directly instead of racing on environment
+/// variables.
 pub fn simulate_sampled_launch_with(
     gpu: &GpuConfig,
-    lc: &LaunchConfig,
-    occ: Occupancy,
-    traces: &[BlockTrace],
+    sampled: &SampledBlocks,
     opts: &EngineOptions,
 ) -> Result<LaunchResult> {
+    let SampledBlocks {
+        launch: lc,
+        occupancy: occ,
+        traces,
+        ..
+    } = sampled;
     let blocks_per_wave = occ.blocks_per_sm * gpu.num_sms;
     let waves = lc.grid_blocks.div_ceil(blocks_per_wave);
 
@@ -157,7 +177,7 @@ pub fn simulate_sampled_launch_with(
     Ok(LaunchResult {
         time_seconds,
         events,
-        occupancy: occ,
+        occupancy: *occ,
         waves,
         sampled_blocks: traces.len(),
     })

@@ -36,13 +36,23 @@
 //! counter availability (e.g. `l1_shared_bank_conflict` exists only on Fermi,
 //! `shared_load_replay`/`shared_store_replay` only on Kepler).
 //!
+//! A launch reaches its named counters along one path: [`sample_blocks`]
+//! picks the sampled blocks and builds their traces, the engine simulates
+//! them ([`simulate_launch`], or [`simulate_launch_cached`] through a
+//! [`SimCache`]), and one `ProfiledRun` constructor turns the accumulated
+//! raw events into time, power and [`profiler::derive_counters`]' counter
+//! set.
+//! [`profile_applications`] is the one batch driver; [`profile_kernel`] and
+//! the workloads' `Application::profile` are thin entries over the same
+//! steps.
+//!
 //! Launch simulation is *pure* — each launch builds fresh cache state and
-//! shares nothing with its neighbours — which the profiling layer exploits
+//! shares nothing with its neighbours — which the batch driver exploits
 //! twice: launches simulate **in parallel** (order-preserving accumulation
 //! keeps results bit-identical to the sequential path; thread count follows
 //! `RAYON_NUM_THREADS`), and structurally identical launches are **memoized**
-//! through a content-addressed cache ([`memo`], disable with
-//! `BF_SIM_CACHE=0`).
+//! through a content-addressed cache ([`memo`]; [`SimCache::from_env`]
+//! yields none under `BF_SIM_CACHE=0`).
 
 // Index-based loops are the clearer idiom throughout this numeric code
 // (parallel arrays, in-place matrix updates), so the pedantic lint is off.
@@ -71,19 +81,16 @@ pub use builder::TraceBuilder;
 pub use counters::{CounterSet, RawEvents};
 pub use diskcache::DiskCache;
 pub use engine::{
-    sample_block_ids, simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult,
+    sample_blocks, simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult,
+    SampledBlocks,
 };
 pub use memo::{
-    cache_enabled, global_cache_stats, global_disk_cache_stats, reset_global_cache_stats,
-    simulate_launch_cached, simulate_launch_cached_fp, Bf128Hasher, CacheStats, SimCache,
-    SIM_CONTENT_VERSION,
+    global_cache_stats, global_disk_cache_stats, reset_global_cache_stats, simulate_launch_cached,
+    Bf128Hasher, CacheStats, SimCache, SIM_CONTENT_VERSION,
 };
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use power::{estimate_power, PowerEstimate, PowerModel};
-pub use profiler::{
-    profile_application, profile_application_with, profile_applications, profile_kernel,
-    simulate_launches, ProfiledRun,
-};
+pub use profiler::{profile_applications, profile_kernel, ProfiledRun};
 pub use trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 
 /// Errors raised by the simulator.

@@ -18,8 +18,10 @@
 //! for two full SipHash walks over the traces. The hasher is deliberately
 //! *not* `DefaultHasher`: its output is stable across processes and
 //! executions, which is what lets the key double as the on-disk identity.
-//! Trace construction still runs on every call (it is needed to compute the
-//! key); only the expensive cycle-detailed SM simulation is skipped.
+//! An untagged kernel builds its sampled traces on every call (the key
+//! hashes them); a kernel with a [`KernelTrace::content_tag`] is keyed from
+//! the tag and builds traces only on a miss. A hit skips the expensive
+//! cycle-detailed SM simulation either way.
 //!
 //! ## Disk tier
 //!
@@ -38,12 +40,12 @@
 //! totals are additionally tracked so drivers like `bench_sim` can report a
 //! hit rate without threading cache handles through every collection API.
 //! Set `BF_SIM_CACHE=0` (or `off`) to disable memoization in the stock
-//! profiling paths; results are bit-identical either way.
+//! profiling paths ([`SimCache::from_env`] then yields no cache); results
+//! are bit-identical either way.
 
 use crate::arch::GpuConfig;
 use crate::diskcache::{self, DiskCache};
-use crate::engine::{sample_block_ids, simulate_sampled_launch_with, EngineOptions, LaunchResult};
-use crate::occupancy::occupancy;
+use crate::engine::{sample_blocks, simulate_sampled_launch_with, EngineOptions, LaunchResult};
 use crate::trace::{BlockTrace, KernelTrace, LaunchConfig};
 use crate::Result;
 use std::collections::HashMap;
@@ -111,15 +113,6 @@ pub fn reset_global_cache_stats() {
     GLOBAL_MISSES.store(0, Ordering::Relaxed);
     GLOBAL_DISK_HITS.store(0, Ordering::Relaxed);
     GLOBAL_DISK_MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Whether the stock profiling paths should memoize launches: true unless
-/// `BF_SIM_CACHE` is set to `0` or `off`.
-pub fn cache_enabled() -> bool {
-    !matches!(
-        std::env::var("BF_SIM_CACHE").as_deref(),
-        Ok("0") | Ok("off")
-    )
 }
 
 /// A streaming 128-bit hasher: two 64-bit lanes fed the same byte stream
@@ -268,14 +261,21 @@ impl SimCache {
         }
     }
 
-    /// Creates the cache the environment asks for: disk-backed when
-    /// `BF_SIM_CACHE_DIR` resolves to a usable directory, memory-only
-    /// otherwise.
-    pub fn from_env() -> SimCache {
-        match diskcache::from_env() {
+    /// Creates the cache the environment asks for: none when
+    /// `BF_SIM_CACHE` is `0` or `off`, otherwise disk-backed when
+    /// `BF_SIM_CACHE_DIR` resolves to a usable directory and memory-only
+    /// when it does not.
+    pub fn from_env() -> Option<SimCache> {
+        if matches!(
+            std::env::var("BF_SIM_CACHE").as_deref(),
+            Ok("0") | Ok("off")
+        ) {
+            return None;
+        }
+        Some(match diskcache::from_env() {
             Some(disk) => SimCache::with_disk(disk),
             None => SimCache::new(),
-        }
+        })
     }
 
     /// The disk tier, if this cache has one.
@@ -377,50 +377,37 @@ fn launch_key_tagged(gpu_fp: u64, lc: &LaunchConfig, tag: u128, extrapolate: boo
 
 /// Simulates one launch through the cache: identical (traces, config, GPU)
 /// triples replay the stored result, everything else simulates and stores.
+/// `gpu_fp` is `gpu.fingerprint()`, passed in so a batch driver hashes the
+/// `GpuConfig` once per sweep instead of once per launch.
 pub fn simulate_launch_cached(
-    gpu: &GpuConfig,
-    kernel: &dyn KernelTrace,
-    cache: &SimCache,
-) -> Result<LaunchResult> {
-    simulate_launch_cached_fp(gpu, gpu.fingerprint(), kernel, cache)
-}
-
-/// [`simulate_launch_cached`] with the GPU fingerprint precomputed, so
-/// batch drivers hash the `GpuConfig` once per sweep instead of once per
-/// launch.
-pub fn simulate_launch_cached_fp(
     gpu: &GpuConfig,
     gpu_fp: u64,
     kernel: &dyn KernelTrace,
     cache: &SimCache,
 ) -> Result<LaunchResult> {
-    let lc = kernel.launch_config();
-    let occ = occupancy(gpu, &lc)?;
     let opts = EngineOptions::default();
-    // Tagged kernels are keyed without materialising their traces, so a hit
+    // Tagged kernels are keyed without sampling their blocks, so a hit
     // skips both trace construction and the content walk.
-    let (key, mut traces) = match kernel.content_tag() {
-        Some(tag) => (
-            launch_key_tagged(gpu_fp, &lc, tag, opts.loop_extrapolation),
-            None,
-        ),
+    let (key, sampled) = match kernel.content_tag() {
+        Some(tag) => {
+            let lc = kernel.launch_config();
+            let key = launch_key_tagged(gpu_fp, &lc, tag, opts.loop_extrapolation);
+            (key, None)
+        }
         None => {
-            let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-            let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-            (
-                launch_key(gpu_fp, &lc, &traces, opts.loop_extrapolation),
-                Some(traces),
-            )
+            let s = sample_blocks(gpu, kernel)?;
+            let key = launch_key(gpu_fp, &s.launch, &s.traces, opts.loop_extrapolation);
+            (key, Some(s))
         }
     };
     if let Some(result) = cache.get(key) {
         return Ok(result);
     }
-    let traces = traces.take().unwrap_or_else(|| {
-        let ids = sample_block_ids(lc.grid_blocks, occ.blocks_per_sm);
-        ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect()
-    });
-    let result = simulate_sampled_launch_with(gpu, &lc, occ, &traces, &opts)?;
+    let sampled = match sampled {
+        Some(s) => s,
+        None => sample_blocks(gpu, kernel)?,
+    };
+    let result = simulate_sampled_launch_with(gpu, &sampled, &opts)?;
     cache.put(key, result.clone());
     Ok(result)
 }
@@ -480,8 +467,8 @@ mod tests {
             blocks: 64,
         };
         let fresh = simulate_launch(&gpu, &k).unwrap();
-        let miss = simulate_launch_cached(&gpu, &k, &cache).unwrap();
-        let hit = simulate_launch_cached(&gpu, &k, &cache).unwrap();
+        let miss = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &cache).unwrap();
+        let hit = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         for r in [&miss, &hit] {
             assert_eq!(r.time_seconds.to_bits(), fresh.time_seconds.to_bits());
@@ -504,6 +491,7 @@ mod tests {
         let cache = SimCache::new();
         let a = simulate_launch_cached(
             &gpu,
+            gpu.fingerprint(),
             &Streamer {
                 base: 0x1000_0000,
                 blocks: 64,
@@ -513,6 +501,7 @@ mod tests {
         .unwrap();
         let b = simulate_launch_cached(
             &gpu,
+            gpu.fingerprint(),
             &Streamer {
                 base: 0x2000_0000,
                 blocks: 64,
@@ -533,8 +522,20 @@ mod tests {
             base: 0x1000_0000,
             blocks: 64,
         };
-        let f = simulate_launch_cached(&GpuConfig::gtx580(), &k, &cache).unwrap();
-        let kep = simulate_launch_cached(&GpuConfig::k20m(), &k, &cache).unwrap();
+        let f = simulate_launch_cached(
+            &GpuConfig::gtx580(),
+            GpuConfig::gtx580().fingerprint(),
+            &k,
+            &cache,
+        )
+        .unwrap();
+        let kep = simulate_launch_cached(
+            &GpuConfig::k20m(),
+            GpuConfig::k20m().fingerprint(),
+            &k,
+            &cache,
+        )
+        .unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
         assert_ne!(f.time_seconds.to_bits(), kep.time_seconds.to_bits());
     }
@@ -563,7 +564,7 @@ mod tests {
             std::env::var("BF_SIM_CACHE").as_deref(),
             Ok("0") | Ok("off")
         );
-        assert_eq!(cache_enabled(), !disabled);
+        assert_eq!(SimCache::from_env().is_none(), disabled);
     }
 
     #[test]
@@ -659,6 +660,7 @@ mod tests {
         // cache key is derived, never what is simulated.
         let plain = simulate_launch_cached(
             &gpu,
+            gpu.fingerprint(),
             &Streamer {
                 base: 0x1000_0000,
                 blocks: 64,
@@ -668,12 +670,12 @@ mod tests {
         .unwrap();
         let cache = SimCache::new();
         let tagged = TaggedStreamer::new(0x1000_0000, 64);
-        let miss = simulate_launch_cached(&gpu, &tagged, &cache).unwrap();
+        let miss = simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, &cache).unwrap();
         let built = tagged
             .trace_calls
             .load(std::sync::atomic::Ordering::Relaxed);
         assert!(built > 0, "the miss must build traces to simulate");
-        let hit = simulate_launch_cached(&gpu, &tagged, &cache).unwrap();
+        let hit = simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(
             tagged
@@ -697,7 +699,7 @@ mod tests {
         }
         // Distinct tag inputs must not alias each other.
         let other = TaggedStreamer::new(0x2000_0000, 64);
-        simulate_launch_cached(&gpu, &other, &cache).unwrap();
+        simulate_launch_cached(&gpu, gpu.fingerprint(), &other, &cache).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
@@ -712,12 +714,12 @@ mod tests {
             blocks: 64,
         };
         let first = SimCache::with_disk(Arc::clone(&disk));
-        let cold = simulate_launch_cached(&gpu, &k, &first).unwrap();
+        let cold = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &first).unwrap();
         assert_eq!(first.stats(), CacheStats { hits: 0, misses: 1 });
         // A brand-new SimCache (fresh process stand-in) over the same disk
         // tier answers from disk without simulating.
         let second = SimCache::with_disk(Arc::clone(&disk));
-        let warm = simulate_launch_cached(&gpu, &k, &second).unwrap();
+        let warm = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &second).unwrap();
         assert_eq!(second.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(warm.time_seconds.to_bits(), cold.time_seconds.to_bits());
         assert_eq!(

@@ -6,10 +6,11 @@
 //! what breaks naive hardware scaling in the paper's §6.2 — e.g. Fermi's
 //! `l1_shared_bank_conflict` simply does not exist on Kepler.
 
-use crate::arch::{GpuArchitecture, GpuConfig};
+use crate::arch::GpuConfig;
 use crate::counters::{counters_for, CounterSet, RawEvents};
 use crate::engine::{simulate_launch, LaunchResult};
 use crate::memo::{self, SimCache};
+use crate::power::{estimate_power, PowerModel};
 use crate::trace::KernelTrace;
 use crate::Result;
 use rayon::prelude::*;
@@ -104,120 +105,43 @@ pub fn derive_counters(gpu: &GpuConfig, ev: &RawEvents) -> CounterSet {
     cs
 }
 
+impl ProfiledRun {
+    /// The profiled run of a launch or application whose raw events are
+    /// `ev`: its time, its estimated power and its derived counters.
+    fn from_events(gpu: &GpuConfig, kernel: &str, ev: &RawEvents) -> ProfiledRun {
+        let power = estimate_power(gpu, ev, &PowerModel::for_arch(gpu.arch));
+        ProfiledRun {
+            kernel: kernel.to_string(),
+            gpu: gpu.name.clone(),
+            time_ms: ev.time_seconds * 1e3,
+            avg_power_w: power.average_w,
+            counters: derive_counters(gpu, ev),
+        }
+    }
+}
+
 /// Profiles a single kernel launch (one simulated `nvprof` run).
 pub fn profile_kernel(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<ProfiledRun> {
     let r = simulate_launch(gpu, kernel)?;
-    let power = crate::power::estimate_power(
-        gpu,
-        &r.events,
-        &crate::power::PowerModel::for_arch(gpu.arch),
-    );
-    Ok(ProfiledRun {
-        kernel: kernel.name(),
-        gpu: gpu.name.clone(),
-        time_ms: r.time_seconds * 1e3,
-        avg_power_w: power.average_w,
-        counters: derive_counters(gpu, &r.events),
-    })
+    Ok(ProfiledRun::from_events(gpu, &kernel.name(), &r.events))
 }
 
-/// Simulates every launch in parallel, preserving issue order in the output.
+/// Profiles a batch of applications as one flat, launch-level parallel job:
+/// simulates every launch, accumulates each application's raw events and
+/// time, then derives one counter set per application — how the paper
+/// aggregates NW's two kernels and the reduction's passes.
 ///
-/// The work unit handed to the scheduler is a single *launch*, so a
-/// 1000-launch NW job spreads across every core instead of serialising on
-/// one. Results come back indexed by input position and are accumulated by
-/// the callers strictly in issue order, which keeps the floating-point event
-/// sums bit-identical to the sequential path. When `cache` is given,
-/// structurally identical launches are answered from it (see
-/// [`crate::memo`]); cached replay is also bit-identical by purity.
-pub fn simulate_launches(
-    gpu: &GpuConfig,
-    launches: &[Box<dyn KernelTrace>],
-    cache: Option<&SimCache>,
-) -> Result<Vec<LaunchResult>> {
-    let batch = bf_trace::span!("simulate_launches", launches = launches.len());
-    let batch_id = batch.id();
-    // The GPU configuration is constant across the batch: fingerprint it
-    // once here instead of once per launch inside the memo key.
-    let gpu_fp = cache.map(|_| gpu.fingerprint());
-    let indexed: Vec<(usize, &dyn KernelTrace)> = launches
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (i, k.as_ref()))
-        .collect();
-    indexed
-        .into_par_iter()
-        .map(|(i, k)| {
-            // Workers parent their per-launch spans back to the batch span
-            // on the issuing thread, not to whatever ran last on the worker.
-            bf_trace::with_parent(batch_id, || {
-                let _launch = bf_trace::span!("launch", kernel = k.name(), index = i);
-                match cache {
-                    Some(c) => memo::simulate_launch_cached_fp(gpu, gpu_fp.unwrap(), k, c),
-                    None => simulate_launch(gpu, k),
-                }
-                // A bad launch config or malformed trace (mismatched
-                // barriers) surfaces here with the kernel named, instead of
-                // an anonymous message from deep inside the batch.
-                .map_err(|e| e.in_kernel(&k.name(), i))
-            })
-        })
-        .collect::<Result<Vec<_>>>()
-}
-
-/// Profiles a multi-launch application: simulates every launch, accumulates
-/// raw events and time, then derives one counter set for the whole run —
-/// how the paper aggregates NW's two kernels and the reduction's passes.
-///
-/// Launches simulate in parallel through a fresh per-application memo cache
-/// (disable with `BF_SIM_CACHE=0`; thread count follows
-/// `RAYON_NUM_THREADS`), layered over the persistent disk tier when
-/// `BF_SIM_CACHE_DIR` is set. Use [`profile_application_with`] to share a
-/// cache across applications, e.g. over a whole collection sweep.
-pub fn profile_application(
-    gpu: &GpuConfig,
-    name: &str,
-    launches: &[Box<dyn KernelTrace>],
-) -> Result<ProfiledRun> {
-    let cache = SimCache::from_env();
-    let cache = memo::cache_enabled().then_some(&cache);
-    profile_application_with(gpu, name, launches, cache)
-}
-
-/// [`profile_application`] with an explicit (shared) memo cache; `None`
-/// disables memoization for this profile.
-pub fn profile_application_with(
-    gpu: &GpuConfig,
-    name: &str,
-    launches: &[Box<dyn KernelTrace>],
-    cache: Option<&SimCache>,
-) -> Result<ProfiledRun> {
-    let results = simulate_launches(gpu, launches, cache)?;
-    let mut total = RawEvents::default();
-    for r in &results {
-        total.accumulate(&r.events);
-    }
-    let power =
-        crate::power::estimate_power(gpu, &total, &crate::power::PowerModel::for_arch(gpu.arch));
-    Ok(ProfiledRun {
-        kernel: name.to_string(),
-        gpu: gpu.name.clone(),
-        time_ms: total.time_seconds * 1e3,
-        avg_power_w: power.average_w,
-        counters: derive_counters(gpu, &total),
-    })
-}
-
-/// Profiles a batch of applications as one flat, launch-level parallel job.
-///
-/// Every launch of every application goes into a single scheduler queue, so
-/// small applications no longer finish instantly while a single
-/// 1000-launch job serialises on one thread. Per-application event
-/// accumulation still walks the results in issue order, making the output
-/// identical to profiling each application sequentially. `cache` (usually
-/// one per sweep) lets structurally identical launches from *different*
-/// applications share simulations — multi-pass reductions funnelling into
-/// the same tail passes, stencil sweeps repeating the same grid.
+/// This is the one parallel launch loop. Every launch of every application
+/// goes into a single scheduler queue, so small applications no longer
+/// finish instantly while a single 1000-launch job serialises on one
+/// thread (thread count follows `RAYON_NUM_THREADS`). Results come back in
+/// issue order and each application's events accumulate strictly in that
+/// order, making the output bit-identical to profiling each application
+/// sequentially. `cache` (usually one per sweep, see [`SimCache::from_env`])
+/// lets structurally identical launches from *different* applications
+/// share simulations — multi-pass reductions funnelling into the same tail
+/// passes, stencil sweeps repeating the same grid; cached replay is
+/// bit-identical by purity. `None` simulates every launch.
 pub fn profile_applications(
     gpu: &GpuConfig,
     apps: &[(&str, &[Box<dyn KernelTrace>])],
@@ -233,98 +157,36 @@ pub fn profile_applications(
         launches = flat.len()
     );
     let batch_id = batch.id();
-    let gpu_fp = cache.map(|_| gpu.fingerprint());
+    // The GPU configuration is constant across the batch: fingerprint it
+    // once here instead of once per launch inside the memo key.
+    let cache = cache.map(|c| (c, gpu.fingerprint()));
     let results: Vec<LaunchResult> = flat
         .into_par_iter()
         .map(|(i, k)| {
+            // Workers parent their per-launch spans back to the batch span
+            // on the issuing thread, not to whatever ran last on the worker.
             bf_trace::with_parent(batch_id, || {
                 let _launch = bf_trace::span!("launch", kernel = k.name(), index = i);
                 match cache {
-                    Some(c) => memo::simulate_launch_cached_fp(gpu, gpu_fp.unwrap(), k, c),
+                    Some((c, gpu_fp)) => memo::simulate_launch_cached(gpu, gpu_fp, k, c),
                     None => simulate_launch(gpu, k),
                 }
+                // A bad launch config or malformed trace (mismatched
+                // barriers) surfaces here with the kernel named, instead of
+                // an anonymous message from deep inside the batch.
                 .map_err(|e| e.in_kernel(&k.name(), i))
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let mut runs = Vec::with_capacity(apps.len());
-    let mut cursor = 0usize;
-    for (name, launches) in apps {
+    let mut results = results.iter();
+    let runs = apps.iter().map(|(name, launches)| {
         let mut total = RawEvents::default();
-        for r in &results[cursor..cursor + launches.len()] {
+        for r in results.by_ref().take(launches.len()) {
             total.accumulate(&r.events);
         }
-        cursor += launches.len();
-        let power = crate::power::estimate_power(
-            gpu,
-            &total,
-            &crate::power::PowerModel::for_arch(gpu.arch),
-        );
-        runs.push(ProfiledRun {
-            kernel: name.to_string(),
-            gpu: gpu.name.clone(),
-            time_ms: total.time_seconds * 1e3,
-            avg_power_w: power.average_w,
-            counters: derive_counters(gpu, &total),
-        });
-    }
-    Ok(runs)
-}
-
-/// Profiles a multi-launch application *per kernel*: launches sharing a
-/// kernel name are accumulated together and reported separately — how
-/// `nvprof` itself presents a multi-kernel application, and what the paper
-/// does for NW ("we measure the contribution of each kernel in the overall
-/// execution time"). Returns one run per distinct kernel, in first-seen
-/// order. Simulation is parallel and memoized like [`profile_application`].
-pub fn profile_application_by_kernel(
-    gpu: &GpuConfig,
-    launches: &[Box<dyn KernelTrace>],
-) -> Result<Vec<ProfiledRun>> {
-    let cache = SimCache::from_env();
-    let cache = memo::cache_enabled().then_some(&cache);
-    profile_application_by_kernel_with(gpu, launches, cache)
-}
-
-/// [`profile_application_by_kernel`] with an explicit (shared) memo cache.
-pub fn profile_application_by_kernel_with(
-    gpu: &GpuConfig,
-    launches: &[Box<dyn KernelTrace>],
-    cache: Option<&SimCache>,
-) -> Result<Vec<ProfiledRun>> {
-    let results = simulate_launches(gpu, launches, cache)?;
-    let mut order: Vec<String> = Vec::new();
-    let mut acc: std::collections::HashMap<String, RawEvents> = std::collections::HashMap::new();
-    for (k, r) in launches.iter().zip(&results) {
-        let name = k.name();
-        if !acc.contains_key(&name) {
-            order.push(name.clone());
-        }
-        acc.entry(name).or_default().accumulate(&r.events);
-    }
-    Ok(order
-        .into_iter()
-        .map(|name| {
-            let ev = &acc[&name];
-            let power = crate::power::estimate_power(
-                gpu,
-                ev,
-                &crate::power::PowerModel::for_arch(gpu.arch),
-            );
-            ProfiledRun {
-                kernel: name,
-                gpu: gpu.name.clone(),
-                time_ms: ev.time_seconds * 1e3,
-                avg_power_w: power.average_w,
-                counters: derive_counters(gpu, ev),
-            }
-        })
-        .collect())
-}
-
-/// Convenience: is this counter name meaningful on the given architecture?
-pub fn counter_on(name: &str, arch: GpuArchitecture) -> bool {
-    crate::counters::counter_available(name, arch)
+        ProfiledRun::from_events(gpu, name, &total)
+    });
+    Ok(runs.collect())
 }
 
 #[cfg(test)]
@@ -473,9 +335,9 @@ mod tests {
         assert!(msg.contains("launch 1"), "error lacks launch index: {msg}");
         assert!(msg.contains("barrier"), "error lacks the cause: {msg}");
 
-        // The single-application entry point annotates identically.
-        let err = profile_application(&gpu, "bad_app", &launches).unwrap_err();
-        assert!(err.to_string().contains("deadlock"));
+        // The memoized path annotates identically.
+        let err = profile_applications(&gpu, &apps, Some(&SimCache::new())).unwrap_err();
+        assert_eq!(err.to_string(), msg);
     }
 
     #[test]
@@ -486,7 +348,8 @@ mod tests {
             Box::new(Mini { conflict: false }),
             Box::new(Mini { conflict: false }),
         ];
-        let app = profile_application(&gpu, "mini_x2", &launches).unwrap();
+        let apps: [(&str, &[Box<dyn KernelTrace>]); 1] = [("mini_x2", &launches)];
+        let app = profile_applications(&gpu, &apps, None).unwrap().remove(0);
         let s = single.counters.get("gld_request").unwrap();
         let a = app.counters.get("gld_request").unwrap();
         assert!((a - 2.0 * s).abs() < 1e-6);

@@ -21,7 +21,9 @@ use gpu_sim::builder::TraceBuilder;
 use gpu_sim::cache::Cache;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::trace::{first_lanes, BlockTrace, LaunchConfig, WarpInstruction, FULL_MASK};
-use gpu_sim::{simulate_sampled_launch_with, soa, EngineOptions, GpuConfig, RawEvents};
+use gpu_sim::{
+    simulate_sampled_launch_with, soa, EngineOptions, GpuConfig, RawEvents, SampledBlocks,
+};
 use proptest::prelude::*;
 use reference::simulate_sm;
 
@@ -289,14 +291,18 @@ proptest! {
             regs_per_thread: 16,
             shared_mem_per_block: 0,
         };
-        let occ = occupancy(&gpu, &lc).unwrap();
-        let traces = vec![block];
+        let sampled = SampledBlocks {
+            launch: lc,
+            occupancy: occupancy(&gpu, &lc).unwrap(),
+            ids: vec![0],
+            traces: vec![block],
+        };
         let full = simulate_sampled_launch_with(
-            &gpu, &lc, occ, &traces,
+            &gpu, &sampled,
             &EngineOptions { loop_extrapolation: false },
         ).unwrap();
         let extr = simulate_sampled_launch_with(
-            &gpu, &lc, occ, &traces,
+            &gpu, &sampled,
             &EngineOptions { loop_extrapolation: true },
         ).unwrap();
 

@@ -33,7 +33,7 @@ pub mod nw;
 pub mod reduce;
 pub mod stencil;
 
-use gpu_sim::{profile_application, GpuConfig, KernelTrace, ProfiledRun};
+use gpu_sim::{profile_applications, GpuConfig, KernelTrace, ProfiledRun, SimCache};
 
 /// Version of this crate's trace generators, folded into every
 /// [`KernelTrace::content_tag`] digest. Bump it whenever ANY generator's
@@ -75,9 +75,13 @@ pub struct Application {
 
 impl Application {
     /// Profiles the whole application on a GPU: every launch is simulated,
-    /// events are accumulated, and one counter set is derived.
+    /// events are accumulated, and one counter set is derived. A one-element
+    /// batch of [`profile_applications`] through the environment's memo
+    /// cache ([`SimCache::from_env`]).
     pub fn profile(&self, gpu: &GpuConfig) -> gpu_sim::Result<ProfiledRun> {
-        profile_application(gpu, &self.name, &self.launches)
+        let cache = SimCache::from_env();
+        let apps = [(self.name.as_str(), self.launches.as_slice())];
+        Ok(profile_applications(gpu, &apps, cache.as_ref())?.remove(0))
     }
 
     /// The distinct kernel names launched by this application, in first-seen

@@ -576,8 +576,17 @@ mod tests {
     fn per_kernel_breakdown_reports_both_nw_kernels() {
         let gpu = GpuConfig::gtx580();
         let app = nw_application(128, 10);
-        let per_kernel =
-            gpu_sim::profiler::profile_application_by_kernel(&gpu, &app.launches).unwrap();
+        // The host loop issues every kernel-1 diagonal before any kernel-2
+        // one, so the launch list splits at the first kernel-2 launch.
+        let split = app
+            .launches
+            .iter()
+            .position(|k| k.name() != app.launches[0].name())
+            .unwrap();
+        let (first, second) = app.launches.split_at(split);
+        let (k1, k2) = (first[0].name(), second[0].name());
+        let apps: [(&str, &[Box<dyn KernelTrace>]); 2] = [(&k1, first), (&k2, second)];
+        let per_kernel = gpu_sim::profile_applications(&gpu, &apps, None).unwrap();
         assert_eq!(per_kernel.len(), 2);
         assert_eq!(per_kernel[0].kernel, "needle_cuda_shared_1");
         assert_eq!(per_kernel[1].kernel, "needle_cuda_shared_2");

@@ -449,13 +449,17 @@ mod tests {
 
     #[test]
     fn disabled_spans_are_inert_and_record_nothing() {
-        // Not inside a capture: recorder is disabled.
+        // Not inside a capture: the recorder is disabled. Holding the
+        // session lock keeps a parallel test's capture from enabling it
+        // under the ghost span; it is released before our own capture.
+        let session = lock_ignoring_poison(&RECORDER.session);
         let mut sp = span!("ghost", rows = 3u64);
         assert!(!sp.is_active());
         assert!(sp.id().is_none());
         sp.attr("extra", 1u64);
         drop(sp);
         counter!("ghost.count");
+        drop(session);
         let (_, trace) = capture(|| {});
         assert!(
             trace.spans.is_empty(),
