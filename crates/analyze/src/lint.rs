@@ -17,7 +17,7 @@
 use crate::attr::{self, BlockAttribution};
 use crate::diag::{self, Diagnostic, Severity};
 use crate::oracle::{self, OracleReport};
-use crate::walk::SampledLaunch;
+use crate::walk::{SampledLaunch, StaticLaunchAnalysis};
 use crate::whatif::{self, WhatIfModel};
 use bf_kernels::matmul::matmul_application;
 use bf_kernels::nw::nw_application;
@@ -367,8 +367,12 @@ pub fn lint_applications_with(
     let mut oracle_reports: Vec<OracleReport> = Vec::new();
     let mut block_aggs: Vec<BlockAgg> = Vec::new();
     let mut conservation = ConservationSummary::default();
+    // Per application, the launch walks what-if pricing starts from; `None`
+    // when a launch failed to sample, so what-if reports that failure itself.
+    let mut baselines: Vec<Option<Vec<StaticLaunchAnalysis>>> = Vec::new();
 
     for app in apps {
+        let mut baseline = cfg.what_if.map(|_| Vec::new());
         for (i, kernel) in app.launches.iter().enumerate() {
             launches += 1;
             let sampled = {
@@ -379,6 +383,7 @@ pub fn lint_applications_with(
                 Ok(s) => s,
                 Err(e) => {
                     all.push(diag::malformed(&kernel.name(), i, &e));
+                    baseline = None;
                     continue;
                 }
             };
@@ -520,7 +525,11 @@ pub fn lint_applications_with(
                     Err(e) => all.push(diag::malformed(&kernel.name(), i, &e)),
                 }
             }
+            if let Some(b) = baseline.as_mut() {
+                b.push(a);
+            }
         }
+        baselines.push(baseline);
     }
 
     // What-if pricing: re-derive static counters under each applicable fix
@@ -532,7 +541,11 @@ pub fn lint_applications_with(
             let Some(app_chars) = chars.get(i) else {
                 continue;
             };
-            let scenarios = match whatif::whatif_scenarios(gpu, app) {
+            let scenarios = match &baselines[i] {
+                Some(analyses) => whatif::scenarios_from_baseline(gpu, app, analyses),
+                None => whatif::whatif_scenarios(gpu, app),
+            };
+            let scenarios = match scenarios {
                 Ok(s) => s,
                 Err(e) => {
                     all.push(diag::malformed(&app.name, 0, &e));

@@ -264,11 +264,21 @@ fn analyze_all(
 /// sweep (same thresholds as the diagnostics), and its fixed counter vector
 /// comes from re-walking every launch with the fix applied.
 pub fn whatif_scenarios(gpu: &GpuConfig, app: &Application) -> Result<Vec<WhatIfScenario>> {
-    let analyses = analyze_all(gpu, app, None)?;
-    let baseline = static_counter_values(gpu, &app_static_counts(&analyses));
+    scenarios_from_baseline(gpu, app, &analyze_all(gpu, app, None)?)
+}
+
+/// [`whatif_scenarios`] from the baseline analyses of every launch of
+/// `app`, in launch order: lint passes the walks it already made, so only
+/// the fixed variants are sampled and walked here.
+pub(crate) fn scenarios_from_baseline(
+    gpu: &GpuConfig,
+    app: &Application,
+    analyses: &[StaticLaunchAnalysis],
+) -> Result<Vec<WhatIfScenario>> {
+    let baseline = static_counter_values(gpu, &app_static_counts(analyses));
 
     let mut applicable = Vec::new();
-    for a in &analyses {
+    for a in analyses {
         if a.shared.max_degree >= 2 {
             applicable.push(Fix::ConflictFreeShared);
         }

@@ -6,9 +6,10 @@
 //! with the cache off, launch-parallel with the cache off, launch-parallel
 //! with the in-memory memo cache, and twice against a fresh on-disk cache
 //! directory (cold, then warm) — timing each and reading the process-wide
-//! cache counters. A per-phase hot-path breakdown (trace walk, coalesce,
-//! banks, issue loop) is additionally measured from bf-trace spans, off the
-//! clock. Results land in `BENCH_sim.json` so the speedups, hit rates, and
+//! cache counters. A per-phase hot-path breakdown (block sampling,
+//! validation, trace walk, coalesce, banks, issue loop) is additionally
+//! measured from bf-trace spans, off the clock, with the share of launch
+//! time those phases name. Results land in `BENCH_sim.json` so the speedups, hit rates, and
 //! phase profile are tracked as first-class artifacts.
 //!
 //! Pass `--quick` (or set `BF_QUICK=1`) to shrink the sweeps for smoke
@@ -26,10 +27,20 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Hot-path span names whose totals form the per-phase breakdown. The
-/// compile passes (`trace_walk`, `coalesce`, `banks`) and the dynamic
-/// `issue_loop` live in `gpu_sim::soa`; `launch` wraps one whole launch.
-const HOT_PHASES: [&str; 5] = ["trace_walk", "coalesce", "banks", "issue_loop", "launch"];
+/// Hot-path span names whose totals form the per-phase breakdown.
+/// `sample_blocks` picks a launch's blocks and generates their traces
+/// (`gpu_sim::sample_blocks`); the compile passes (`validate`,
+/// `trace_walk`, `coalesce`, `banks`) and the dynamic `issue_loop` live in
+/// `gpu_sim::soa`; `launch` wraps one whole launch and holds all the others.
+const HOT_PHASES: [&str; 7] = [
+    "sample_blocks",
+    "validate",
+    "trace_walk",
+    "coalesce",
+    "banks",
+    "issue_loop",
+    "launch",
+];
 
 #[derive(Debug, Serialize)]
 struct SweepPoint {
@@ -57,6 +68,8 @@ struct SweepPoint {
     /// Wall-clock totals per hot-path span, summed over a traced sequential
     /// run (seconds; measured off the clock, see `HOT_PHASES`).
     phase_seconds: BTreeMap<String, f64>,
+    /// Share of `launch` time the other phases name.
+    launch_named_fraction: f64,
     /// Spans this sweep would record with tracing on (counted off the clock).
     trace_spans: u64,
     /// Counter increments this sweep would record with tracing on.
@@ -100,9 +113,24 @@ fn measure_probe_costs() -> ProbeCosts {
 #[derive(Debug, Serialize)]
 struct BenchReport {
     benchmark: String,
+    /// `git describe --always --dirty` of the measured checkout.
+    git_revision: String,
     host_threads: usize,
     quick: bool,
     points: Vec<SweepPoint>,
+}
+
+/// `git describe --always --dirty` of the working directory, or
+/// `unknown` outside a git checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 fn timed(f: &dyn Fn() -> usize) -> (f64, usize) {
@@ -154,6 +182,13 @@ fn run_sweep(
             *total += span.duration_ns() as f64 / 1e9;
         }
     }
+    let launch = phase_seconds["launch"];
+    let named: f64 = phase_seconds
+        .iter()
+        .filter(|(p, _)| p.as_str() != "launch")
+        .map(|(_, s)| s)
+        .sum();
+    let launch_named_fraction = if launch > 0.0 { named / launch } else { 0.0 };
     let probe_ns =
         trace_spans as f64 * probes.span_ns + trace_counter_incs as f64 * probes.counter_ns;
     let disabled_trace_overhead = probe_ns / (sequential_seconds * 1e9);
@@ -224,6 +259,7 @@ fn run_sweep(
         disk_warm_hits: warm.hits,
         disk_warm_hit_rate: warm.hit_rate(),
         phase_seconds,
+        launch_named_fraction,
         trace_spans,
         trace_counter_incs,
         disabled_trace_overhead,
@@ -244,13 +280,14 @@ fn run_sweep(
         point.disabled_trace_overhead * 100.0,
     );
     println!(
-        "           phases: {}",
+        "           phases: {}  (named {:.1}% of launch)",
         point
             .phase_seconds
             .iter()
             .map(|(p, s)| format!("{p} {s:.3}s"))
             .collect::<Vec<_>>()
             .join("  "),
+        point.launch_named_fraction * 100.0,
     );
     point
 }
@@ -347,6 +384,7 @@ fn main() {
 
     let report = BenchReport {
         benchmark: "sim_sequential_vs_parallel_vs_memoized".to_string(),
+        git_revision: git_revision(),
         host_threads,
         quick,
         points,

@@ -12,6 +12,12 @@
 //! A perfectly coalesced 4-byte access by 32 lanes therefore costs one
 //! 128-byte transaction (or four 32-byte sectors); a fully scattered access
 //! costs up to 32.
+//!
+//! [`coalesce_into`] emits segments in lane order and skips one equal to
+//! the last emitted. While each new segment is above the last, the output
+//! stays strictly ascending, so it already is the sorted set of unique
+//! segments; only an access whose segments fall back below the last one
+//! is sorted and deduplicated.
 
 use crate::trace::LaneMask;
 
@@ -20,28 +26,46 @@ use crate::trace::LaneMask;
 /// bytes per lane. Accesses that straddle a segment boundary produce both
 /// segments (possible with 8-byte words at 4-byte alignment). The SoA batch
 /// compiler ([`crate::soa`]) calls this in a tight sweep with one reused
-/// buffer per launch, so no access allocates.
+/// buffer per launch, so no access allocates. Only an access whose
+/// segments fall back below the last one emitted is sorted (see the module
+/// docs). A power-of-two `segment` aligns by mask, any other by remainder.
 pub fn coalesce_into(addrs: &[u64], width: u8, mask: LaneMask, segment: u32, out: &mut Vec<u64>) {
-    debug_assert!(segment.is_power_of_two());
     let seg = segment as u64;
+    let align = |a: u64| {
+        if seg.is_power_of_two() {
+            a & !(seg - 1)
+        } else {
+            a - a % seg
+        }
+    };
     out.clear();
+    let mut ascending = true;
     for (lane, &addr) in addrs.iter().enumerate() {
         if mask & (1 << lane) == 0 {
             continue;
         }
-        let first = addr & !(seg - 1);
-        let last = (addr + width as u64 - 1) & !(seg - 1);
+        let first = align(addr);
+        let last = align(addr + width as u64 - 1);
         let mut s = first;
         loop {
-            out.push(s);
+            match out.last() {
+                Some(&prev) if prev == s => {}
+                Some(&prev) if prev > s => {
+                    ascending = false;
+                    out.push(s);
+                }
+                _ => out.push(s),
+            }
             if s == last {
                 break;
             }
             s += seg;
         }
     }
-    out.sort_unstable();
-    out.dedup();
+    if !ascending {
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 /// Total bytes the active lanes actually requested (the numerator of

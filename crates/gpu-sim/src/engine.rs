@@ -105,6 +105,7 @@ pub struct SampledBlocks {
 /// memo's miss path and the static walk all sample through here, so they
 /// always see the same blocks.
 pub fn sample_blocks(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledBlocks> {
+    let _span = bf_trace::span!("sample_blocks");
     let launch = kernel.launch_config();
     let occupancy = occupancy(gpu, &launch)?;
     let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);

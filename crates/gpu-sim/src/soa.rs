@@ -11,7 +11,20 @@
 //!    reusable scratch buffers (no per-access allocation). Its read-only
 //!    view ([`CompiledLaunch::warps`]) is what bf-analyze's static walk and
 //!    block attribution fold over, so the statically exact counters have
-//!    one producer.
+//!    one producer. Three shortcuts keep it fast, each exact:
+//!    - The bank sweep reuses the replays of the previous warp's access at
+//!      the same index when this access has the same width and mask and
+//!      moves every active offset by one multiple of `banks × bank_width`
+//!      ([`banks::is_translation`]): each word lands in its own bank again,
+//!      one to one, so the degree cannot change. Other accesses are
+//!      counted by [`banks::conflict_degree_scratch`], whose monotone fast
+//!      path needs no division and no sort.
+//!    - [`coalesce_into`] sorts only accesses whose segments fall back
+//!      below the last one emitted; otherwise its output is already
+//!      ascending and unique.
+//!    - A store's L1 evict list is its sector list whenever L1 lines are
+//!      at least 32 bytes: `Cache::write_evict` drops the line holding an
+//!      address, so evicting each sector drops exactly the store's lines.
 //! 2. **Execute** ([`execute`]): the event-driven scheduler loop runs over
 //!    the `Op` slice. Only genuinely dynamic state remains: the ready
 //!    queue, pipeline next-free times, and L1/L2 tag lookups.
@@ -32,7 +45,7 @@ use crate::banks::{self, BankScratch};
 use crate::cache::{Access, Cache};
 use crate::coalesce::{coalesce_into, requested_bytes};
 use crate::counters::RawEvents;
-use crate::trace::{BlockTrace, WarpInstruction};
+use crate::trace::{BlockTrace, LaneMask, WarpInstruction};
 use crate::{Result, SimError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -192,11 +205,31 @@ fn arena_push(arena: &mut Vec<u64>, addrs: &[u64]) -> Result<(u32, u16)> {
     Ok((start, addrs.len() as u16))
 }
 
+/// The offsets, width and mask of a shared-memory access.
+fn shared_access(instr: &WarpInstruction) -> Option<(&[u32], u8, LaneMask)> {
+    match instr {
+        WarpInstruction::LoadShared {
+            offsets,
+            width,
+            mask,
+        }
+        | WarpInstruction::StoreShared {
+            offsets,
+            width,
+            mask,
+        } => Some((offsets, *width, *mask)),
+        _ => None,
+    }
+}
+
 /// Compiles a resident set into SoA form. Validates every block and runs
 /// the coalescing and bank-conflict sweeps with reused scratch buffers.
 pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch> {
-    for b in blocks {
-        b.validate()?;
+    {
+        let _validate = bf_trace::span!("validate");
+        for b in blocks {
+            b.validate()?;
+        }
     }
 
     // Pass 1 — trace walk: assemble the op skeletons (kind, lanes, and the
@@ -265,6 +298,8 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
         let mut scratch: Vec<u64> = Vec::with_capacity(64);
         let mut cursor = 0usize;
         let load_segment = gpu.load_segment_bytes();
+        // L1 tags a store evicts, on L1s that cache globals.
+        let evict_line = gpu.l1_caches_globals.then(|| gpu.l1_tag_line() as u32);
         for b in blocks {
             for stream in &b.warps {
                 for instr in stream {
@@ -278,16 +313,16 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
                         WarpInstruction::StoreGlobal { addrs, width, mask } => {
                             coalesce_into(addrs, *width, *mask, 32, &mut scratch);
                             (op.trans_start, op.trans_len) = arena_push(&mut cl.arena, &scratch)?;
-                            if gpu.l1_caches_globals {
-                                coalesce_into(
-                                    addrs,
-                                    *width,
-                                    *mask,
-                                    gpu.l1_tag_line() as u32,
-                                    &mut scratch,
-                                );
-                                (op.evict_start, op.evict_len) =
-                                    arena_push(&mut cl.arena, &scratch)?;
+                            // `Cache::write_evict` drops the line holding an
+                            // address, so on L1 lines of at least 32 bytes
+                            // the store's sectors evict exactly its lines.
+                            if let Some(line) = evict_line {
+                                (op.evict_start, op.evict_len) = if line >= 32 {
+                                    (op.trans_start, op.trans_len)
+                                } else {
+                                    coalesce_into(addrs, *width, *mask, line, &mut scratch);
+                                    arena_push(&mut cl.arena, &scratch)?
+                                };
                             }
                             // Hardware reports stores in up-to-128-byte
                             // transactions regardless of the sector path.
@@ -301,37 +336,45 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
         }
     }
 
-    // Pass 3 — bank-conflict sweep over the shared-memory accesses.
+    // Pass 3 — bank-conflict sweep over the shared-memory accesses. An
+    // access that translates the previous warp's access at the same index
+    // by a whole bank period reuses its replays (`banks::is_translation`).
     {
         let _banks = bf_trace::span!("banks");
         let mut scratch = BankScratch::new();
+        let (banks, bank_width) = (gpu.shared_banks as u32, gpu.bank_width as u32);
+        let period = (gpu.shared_banks as u64).saturating_mul(gpu.bank_width as u64);
         let mut cursor = 0usize;
+        // The previous warp's stream and the index of its first op.
+        let mut prev: Option<(&[WarpInstruction], usize)> = None;
         for b in blocks {
             for stream in &b.warps {
-                for instr in stream {
-                    let op = &mut cl.ops[cursor];
+                let start = cursor;
+                for (i, instr) in stream.iter().enumerate() {
+                    let op = cursor;
                     cursor += 1;
-                    if let WarpInstruction::LoadShared {
-                        offsets,
-                        width,
-                        mask,
-                    }
-                    | WarpInstruction::StoreShared {
-                        offsets,
-                        width,
-                        mask,
-                    } = instr
-                    {
-                        op.replays = banks::replays_scratch(
+                    let Some((offsets, width, mask)) = shared_access(instr) else {
+                        continue;
+                    };
+                    let translated = prev.and_then(|(pstream, pstart)| {
+                        let (poffsets, pwidth, pmask) = shared_access(pstream.get(i)?)?;
+                        (pwidth == width
+                            && pmask == mask
+                            && banks::is_translation(poffsets, offsets, mask, period))
+                        .then(|| cl.ops[pstart + i].replays)
+                    });
+                    cl.ops[op].replays = translated.unwrap_or_else(|| {
+                        banks::replays_scratch(
                             offsets,
-                            *width,
-                            *mask,
-                            gpu.shared_banks as u32,
-                            gpu.bank_width as u32,
+                            width,
+                            mask,
+                            banks,
+                            bank_width,
                             &mut scratch,
-                        ) as u16;
-                    }
+                        ) as u16
+                    });
                 }
+                prev = Some((stream, start));
             }
         }
     }

@@ -358,7 +358,6 @@ pub fn conflict_degree(
     banks: u32,
     bank_width: u32,
 ) -> u32 {
-    debug_assert!(banks.is_power_of_two());
     // Words per bank this access touches; small fixed arrays would also work
     // but a Vec keeps `banks` flexible.
     let mut per_bank: Vec<Vec<u32>> = vec![Vec::new(); banks as usize];
@@ -403,14 +402,13 @@ pub struct Transaction {
 /// that straddle a segment boundary produce both segments (possible with
 /// 8-byte words at 4-byte alignment).
 pub fn coalesce(addrs: &[u64], width: u8, mask: LaneMask, segment: u32) -> Vec<Transaction> {
-    debug_assert!(segment.is_power_of_two());
     let seg = segment as u64;
     let mut out: Vec<u64> = Vec::new();
     for (lane, &addr) in addrs.iter().enumerate() {
         if mask & (1 << lane) == 0 {
             continue;
         }
-        let mut s = addr & !(seg - 1);
+        let mut s = addr - addr % seg;
         while s < addr + width as u64 {
             if !out.contains(&s) {
                 out.push(s);

@@ -100,6 +100,38 @@ fn mixed_blocks_match_reference_on_every_preset() {
     }
 }
 
+/// Layouts no preset has: 48 banks of 12 bytes, which every shared access
+/// counts on the general path, and L1 lines of 16, 64 and 256 bytes, whose
+/// stores evict through their own list below 32 bytes and through their
+/// sectors from 32 up.
+#[test]
+fn off_preset_layouts_match_reference() {
+    // Every lane loads, stores and reloads bytes 16..20 of its own sector:
+    // on 16-byte lines the store must evict the line at 16, not the one
+    // at the sector's start, or the reload would hit.
+    let upper_halves: Vec<u64> = (0..32).map(|i| 16 + i * 32).collect();
+    let mut reload = TraceBuilder::new(1);
+    reload
+        .warp(0)
+        .load_global(upper_halves.clone(), 4)
+        .store_global(upper_halves.clone(), 4)
+        .load_global(upper_halves, 4);
+    let blocks = [
+        mixed_block(0),
+        mixed_block(1 << 16),
+        reload.build().unwrap(),
+    ];
+    let mut gpu = GpuConfig::gtx580();
+    gpu.shared_banks = 48;
+    gpu.bank_width = 12;
+    assert_bit_identical(&gpu, &blocks);
+    for l1_line in [16, 64, 256] {
+        let mut gpu = GpuConfig::gtx580();
+        gpu.l1_line = l1_line;
+        assert_bit_identical(&gpu, &blocks);
+    }
+}
+
 #[test]
 fn empty_and_tiny_blocks_match_reference() {
     let mut uneven = BlockTrace::with_warps(3);
