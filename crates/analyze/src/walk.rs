@@ -661,7 +661,7 @@ mod tests {
                 },
                 // All lanes hit word 0: broadcast, conflict-free.
                 WarpInstruction::StoreShared {
-                    offsets: vec![0; 32],
+                    offsets: vec![0; 32].into(),
                     width: 4,
                     mask: FULL_MASK,
                 },

@@ -71,9 +71,7 @@ impl Fix {
                 | WarpInstruction::StoreShared { offsets, width, .. },
             ) => {
                 let w = *width as u32;
-                for (i, off) in offsets.iter_mut().enumerate() {
-                    *off = i as u32 * w;
-                }
+                *offsets = (0..offsets.len() as u32).map(|i| i * w).collect();
             }
             (
                 Fix::CoalescedGlobal,
@@ -93,12 +91,17 @@ impl Fix {
                     .unwrap_or(0)
                     & !127u64;
                 let mut rank = 0u64;
-                for (i, a) in addrs.iter_mut().enumerate() {
-                    if m & (1 << i) != 0 {
-                        *a = base + rank * *width as u64;
+                *addrs = addrs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| {
+                        if m & (1 << i) == 0 {
+                            return a;
+                        }
                         rank += 1;
-                    }
-                }
+                        base + (rank - 1) * *width as u64
+                    })
+                    .collect();
             }
             (Fix::ConvergedBranches, WarpInstruction::Branch { divergent, .. }) => {
                 *divergent = false;

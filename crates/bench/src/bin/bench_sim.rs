@@ -7,10 +7,12 @@
 //! with the in-memory memo cache, and twice against a fresh on-disk cache
 //! directory (cold, then warm) — timing each and reading the process-wide
 //! cache counters. A per-phase hot-path breakdown (block sampling,
-//! validation, trace walk, coalesce, banks, issue loop) is additionally
-//! measured from bf-trace spans, off the clock, with the share of launch
-//! time those phases name. Results land in `BENCH_sim.json` so the speedups, hit rates, and
-//! phase profile are tracked as first-class artifacts.
+//! validation, trace walk, coalesce, banks, issue loop, the steady-state
+//! period search and truncation) is additionally measured from bf-trace
+//! spans over a sequential memo-off run, off the clock, with the share of
+//! launch time those phases name. Results land in `BENCH_sim.json` so the
+//! speedups, hit rates, and phase profile are tracked as first-class
+//! artifacts.
 //!
 //! Pass `--quick` (or set `BF_QUICK=1`) to shrink the sweeps for smoke
 //! runs. Parallel speedup scales with host cores; the report records the
@@ -31,14 +33,21 @@ use std::time::Instant;
 /// `sample_blocks` picks a launch's blocks and generates their traces
 /// (`gpu_sim::sample_blocks`); the compile passes (`validate`,
 /// `trace_walk`, `coalesce`, `banks`) and the dynamic `issue_loop` live in
-/// `gpu_sim::soa`; `launch` wraps one whole launch and holds all the others.
-const HOT_PHASES: [&str; 7] = [
+/// `gpu_sim::soa`; the steady-state check's period search
+/// (`steady.period`) and probe truncation (`steady.truncate`) live in
+/// `gpu_sim::steady`, whose probe simulations show up as compile passes
+/// and issue loops; `launch` wraps one whole launch and holds all the
+/// others. The phases do not nest in one another, so their sum is the
+/// named part of `launch`.
+const HOT_PHASES: [&str; 9] = [
     "sample_blocks",
     "validate",
     "trace_walk",
     "coalesce",
     "banks",
     "issue_loop",
+    "steady.period",
+    "steady.truncate",
     "launch",
 ];
 
@@ -65,8 +74,9 @@ struct SweepPoint {
     disk_warm_speedup: f64,
     disk_warm_hits: u64,
     disk_warm_hit_rate: f64,
-    /// Wall-clock totals per hot-path span, summed over a traced sequential
-    /// run (seconds; measured off the clock, see `HOT_PHASES`).
+    /// Wall-clock totals per hot-path span, summed over a traced
+    /// sequential, memo-off run (seconds; measured off the clock, see
+    /// `HOT_PHASES`).
     phase_seconds: BTreeMap<String, f64>,
     /// Share of `launch` time the other phases name.
     launch_named_fraction: f64,
@@ -171,8 +181,13 @@ fn run_sweep(
 
     // Count (off the clock) what the sweep would record with tracing on,
     // then price the disabled probes against the sequential baseline. The
-    // same capture yields the per-phase hot-path breakdown.
+    // same capture yields the per-phase hot-path breakdown, so it runs like
+    // that baseline: one worker, memo off, every launch simulated.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    std::env::set_var("BF_SIM_CACHE", "0");
     let (_, trace) = bf_trace::capture(collect);
+    std::env::remove_var("RAYON_NUM_THREADS");
+    std::env::remove_var("BF_SIM_CACHE");
     let trace_spans = trace.spans.len() as u64;
     let trace_counter_incs: u64 = trace.counters.values().sum();
     let mut phase_seconds: BTreeMap<String, f64> =

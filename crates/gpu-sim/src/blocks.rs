@@ -143,7 +143,7 @@ mod tests {
 
     fn load(addrs: Vec<u64>, mask: u32) -> WarpInstruction {
         WarpInstruction::LoadGlobal {
-            addrs,
+            addrs: addrs.into(),
             width: 4,
             mask,
         }

@@ -7,6 +7,13 @@
 //! block-wide barriers that keep the trace structurally valid by
 //! construction.
 //!
+//! The explicit-address methods take anything that converts into a
+//! [`Lanes`] handle: a `Vec`, an array, or a handle already in use. A
+//! pattern that repeats — the same shared offsets every loop iteration —
+//! is best built once and passed as `lanes.clone()`, which shares the
+//! immutable slice instead of copying it; the trace compares and hashes
+//! the same either way.
+//!
 //! ```
 //! use gpu_sim::builder::TraceBuilder;
 //! use gpu_sim::GpuConfig;
@@ -26,7 +33,7 @@
 //! assert_eq!(trace.warps.len(), 4);
 //! ```
 
-use crate::trace::{BlockTrace, LaneMask, WarpInstruction, FULL_MASK};
+use crate::trace::{BlockTrace, LaneMask, Lanes, WarpInstruction, FULL_MASK};
 use crate::Result;
 
 /// Builds one block's warp streams.
@@ -106,9 +113,9 @@ impl WarpStream<'_> {
     }
 
     /// Global load with explicit per-lane addresses.
-    pub fn load_global(self, addrs: Vec<u64>, width: u8) -> Self {
+    pub fn load_global(self, addrs: impl Into<Lanes<u64>>, width: u8) -> Self {
         self.stream.push(WarpInstruction::LoadGlobal {
-            addrs,
+            addrs: addrs.into(),
             width,
             mask: self.mask,
         });
@@ -117,26 +124,26 @@ impl WarpStream<'_> {
 
     /// Perfectly coalesced global load: lane `i` reads `base + i*width`.
     pub fn load_global_seq(self, base: u64, width: u8) -> Self {
-        let addrs = (0..32).map(|i| base + i * width as u64).collect();
+        let addrs: Lanes<u64> = (0..32).map(|i| base + i * width as u64).collect();
         self.load_global(addrs, width)
     }
 
     /// Strided global load: lane `i` reads `base + i*stride` (uncoalesced
     /// when `stride` exceeds the access width).
     pub fn load_global_strided(self, base: u64, stride: u64, width: u8) -> Self {
-        let addrs = (0..32).map(|i| base + i * stride).collect();
+        let addrs: Lanes<u64> = (0..32).map(|i| base + i * stride).collect();
         self.load_global(addrs, width)
     }
 
     /// Broadcast global load: every lane reads the same address.
     pub fn load_global_broadcast(self, addr: u64, width: u8) -> Self {
-        self.load_global(vec![addr; 32], width)
+        self.load_global([addr; 32], width)
     }
 
     /// Global store with explicit per-lane addresses.
-    pub fn store_global(self, addrs: Vec<u64>, width: u8) -> Self {
+    pub fn store_global(self, addrs: impl Into<Lanes<u64>>, width: u8) -> Self {
         self.stream.push(WarpInstruction::StoreGlobal {
-            addrs,
+            addrs: addrs.into(),
             width,
             mask: self.mask,
         });
@@ -145,14 +152,14 @@ impl WarpStream<'_> {
 
     /// Perfectly coalesced global store.
     pub fn store_global_seq(self, base: u64, width: u8) -> Self {
-        let addrs = (0..32).map(|i| base + i * width as u64).collect();
+        let addrs: Lanes<u64> = (0..32).map(|i| base + i * width as u64).collect();
         self.store_global(addrs, width)
     }
 
     /// Shared load with explicit per-lane byte offsets.
-    pub fn load_shared(self, offsets: Vec<u32>, width: u8) -> Self {
+    pub fn load_shared(self, offsets: impl Into<Lanes<u32>>, width: u8) -> Self {
         self.stream.push(WarpInstruction::LoadShared {
-            offsets,
+            offsets: offsets.into(),
             width,
             mask: self.mask,
         });
@@ -161,21 +168,21 @@ impl WarpStream<'_> {
 
     /// Conflict-free unit-stride shared load from `base`.
     pub fn load_shared_seq(self, base: u32, width: u8) -> Self {
-        let offsets = (0..32).map(|i| base + i * width as u32).collect();
+        let offsets: Lanes<u32> = (0..32).map(|i| base + i * width as u32).collect();
         self.load_shared(offsets, width)
     }
 
     /// Strided shared load: lane `i` reads byte offset `base + i*stride` —
     /// the bank-conflict generator (`stride` in *words* times 4).
     pub fn load_shared_strided(self, base: u32, stride: u32, width: u8) -> Self {
-        let offsets = (0..32).map(|i| base + i * stride).collect();
+        let offsets: Lanes<u32> = (0..32).map(|i| base + i * stride).collect();
         self.load_shared(offsets, width)
     }
 
     /// Shared store with explicit per-lane byte offsets.
-    pub fn store_shared(self, offsets: Vec<u32>, width: u8) -> Self {
+    pub fn store_shared(self, offsets: impl Into<Lanes<u32>>, width: u8) -> Self {
         self.stream.push(WarpInstruction::StoreShared {
-            offsets,
+            offsets: offsets.into(),
             width,
             mask: self.mask,
         });
@@ -184,7 +191,7 @@ impl WarpStream<'_> {
 
     /// Conflict-free unit-stride shared store.
     pub fn store_shared_seq(self, base: u32, width: u8) -> Self {
-        let offsets = (0..32).map(|i| base + i * width as u32).collect();
+        let offsets: Lanes<u32> = (0..32).map(|i| base + i * width as u32).collect();
         self.store_shared(offsets, width)
     }
 }

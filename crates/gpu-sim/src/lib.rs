@@ -91,7 +91,7 @@ pub use memo::{
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use power::{estimate_power, PowerEstimate, PowerModel};
 pub use profiler::{profile_applications, profile_kernel, ProfiledRun};
-pub use trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+pub use trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 
 /// Errors raised by the simulator.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,7 +16,9 @@
 //!      the same index when this access has the same width and mask and
 //!      moves every active offset by one multiple of `banks × bank_width`
 //!      ([`banks::is_translation`]): each word lands in its own bank again,
-//!      one to one, so the degree cannot change. Other accesses are
+//!      one to one, so the degree cannot change. An access holding the
+//!      very same [`Lanes`] handle ([`Lanes::ptr_eq`]) is the translation
+//!      by zero and reuses without reading its lanes. Other accesses are
 //!      counted by [`banks::conflict_degree_scratch`], whose monotone fast
 //!      path needs no division and no sort.
 //!    - [`coalesce_into`] sorts only accesses whose segments fall back
@@ -45,7 +47,7 @@ use crate::banks::{self, BankScratch};
 use crate::cache::{Access, Cache};
 use crate::coalesce::{coalesce_into, requested_bytes};
 use crate::counters::RawEvents;
-use crate::trace::{BlockTrace, LaneMask, WarpInstruction};
+use crate::trace::{BlockTrace, LaneMask, Lanes, WarpInstruction};
 use crate::{Result, SimError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -206,7 +208,7 @@ fn arena_push(arena: &mut Vec<u64>, addrs: &[u64]) -> Result<(u32, u16)> {
 }
 
 /// The offsets, width and mask of a shared-memory access.
-fn shared_access(instr: &WarpInstruction) -> Option<(&[u32], u8, LaneMask)> {
+fn shared_access(instr: &WarpInstruction) -> Option<(&Lanes<u32>, u8, LaneMask)> {
     match instr {
         WarpInstruction::LoadShared {
             offsets,
@@ -338,7 +340,8 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
 
     // Pass 3 — bank-conflict sweep over the shared-memory accesses. An
     // access that translates the previous warp's access at the same index
-    // by a whole bank period reuses its replays (`banks::is_translation`).
+    // by a whole bank period reuses its replays (`banks::is_translation`);
+    // sharing that access's handle is the translation by zero.
     {
         let _banks = bf_trace::span!("banks");
         let mut scratch = BankScratch::new();
@@ -360,7 +363,8 @@ pub fn compile(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Result<CompiledLaunch>
                         let (poffsets, pwidth, pmask) = shared_access(pstream.get(i)?)?;
                         (pwidth == width
                             && pmask == mask
-                            && banks::is_translation(poffsets, offsets, mask, period))
+                            && (Lanes::ptr_eq(poffsets, offsets)
+                                || banks::is_translation(poffsets, offsets, mask, period)))
                         .then(|| cl.ops[pstart + i].replays)
                     });
                     cl.ops[op].replays = translated.unwrap_or_else(|| {

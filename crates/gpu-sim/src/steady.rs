@@ -106,7 +106,9 @@ pub fn common_repetitions(blocks: &[BlockTrace]) -> usize {
 /// Truncates every warp stream to `k` of its `r_total` iteration units.
 /// Barrier counts stay matched across each block's warps because every
 /// unit carries `total_barriers / r_total` barriers (all warps of a block
-/// have equal totals, enforced by `BlockTrace::validate`).
+/// have equal totals, enforced by `BlockTrace::validate`). The copies
+/// share the originals' lane vectors: cloning an instruction clones its
+/// [`Lanes`](crate::trace::Lanes) handle, not the addresses.
 fn truncated(blocks: &[BlockTrace], r_total: usize, k: usize) -> Vec<BlockTrace> {
     blocks
         .iter()
@@ -164,14 +166,20 @@ pub fn try_extrapolate(
     blocks: &[BlockTrace],
     fresh_caches: impl Fn() -> (Cache, Cache),
 ) -> Option<SmResult> {
-    let r_total = common_repetitions(blocks);
+    let r_total = {
+        let _period = bf_trace::span!("steady.period");
+        common_repetitions(blocks)
+    };
     if r_total < MIN_REPETITIONS {
         return None;
     }
     let w = PROBE_ITERATIONS;
     let mut probes = Vec::with_capacity(3);
     for k in [w - 1, w, w + 1] {
-        let t = truncated(blocks, r_total, k);
+        let t = {
+            let _truncate = bf_trace::span!("steady.truncate");
+            truncated(blocks, r_total, k)
+        };
         let (mut l1, mut l2) = fresh_caches();
         // A truncation that fails to simulate (it cannot, structurally,
         // but stay corruption-tolerant) falls back to the full path.

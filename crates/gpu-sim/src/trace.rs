@@ -4,9 +4,70 @@
 //! the per-warp instruction streams with concrete per-lane addresses. The
 //! simulator never sees source code — only these traces — which mirrors how
 //! hardware performance counters observe real kernels.
+//!
+//! A memory instruction's per-lane addresses are a [`Lanes`] handle: an
+//! immutable, reference-counted slice. Generators build each distinct
+//! address pattern once and clone the handle wherever it repeats (a tiled
+//! kernel's shared offsets recur every tile step, a block's tile-relative
+//! offsets recur in every block), so a trace refers to each pattern once
+//! instead of owning a copy per instruction. Handles compare and hash by
+//! content, so sharing never changes a trace's identity: a trace built
+//! with shared handles equals, and hashes exactly like, one built with a
+//! fresh slice per instruction.
 
 use crate::arch::GpuConfig;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// The per-lane addresses (or shared-memory offsets) of one warp memory
+/// instruction: an immutable slice behind a cheap-to-clone shared handle.
+///
+/// `Eq` and `Hash` are by content — `Hash` feeds exactly the bytes a
+/// `Vec<T>` of the same elements would — so memo keys and trace digests do
+/// not depend on which instructions share a handle. [`Lanes::ptr_eq`] tells
+/// the shared case apart where identity is a useful shortcut.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Lanes<T>(Arc<[T]>);
+
+impl<T> Lanes<T> {
+    /// Whether `a` and `b` are the same shared slice (not merely equal).
+    pub fn ptr_eq(a: &Lanes<T>, b: &Lanes<T>) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl<T> Deref for Lanes<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> From<Vec<T>> for Lanes<T> {
+    fn from(v: Vec<T>) -> Lanes<T> {
+        Lanes(v.into())
+    }
+}
+
+impl<T, const N: usize> From<[T; N]> for Lanes<T> {
+    fn from(a: [T; N]) -> Lanes<T> {
+        Lanes(Arc::from(a))
+    }
+}
+
+impl<T> FromIterator<T> for Lanes<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Lanes<T> {
+        Lanes(iter.into_iter().collect())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Lanes<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
 
 /// Launch geometry and per-block resource usage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,7 +114,7 @@ pub fn first_lanes(n: usize) -> LaneMask {
 /// Memory instructions carry concrete addresses so the coalescing, cache,
 /// and bank-conflict models operate on real access patterns rather than
 /// statistical summaries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WarpInstruction {
     /// Integer/float arithmetic executed on the CUDA cores. `count` folds
     /// runs of dependent ALU instructions into one entry (issue cost and
@@ -73,7 +134,7 @@ pub enum WarpInstruction {
     /// iff bit `i` of `mask` is set; inactive lanes hold 0).
     LoadGlobal {
         /// Byte addresses, one slot per lane.
-        addrs: Vec<u64>,
+        addrs: Lanes<u64>,
         /// Bytes accessed per lane (4 for `float`, 8 for `double`, ...).
         width: u8,
         /// Active lanes.
@@ -82,7 +143,7 @@ pub enum WarpInstruction {
     /// Global memory store.
     StoreGlobal {
         /// Byte addresses, one slot per lane.
-        addrs: Vec<u64>,
+        addrs: Lanes<u64>,
         /// Bytes accessed per lane.
         width: u8,
         /// Active lanes.
@@ -92,7 +153,7 @@ pub enum WarpInstruction {
     /// shared-memory allocation.
     LoadShared {
         /// Byte offsets, one slot per lane.
-        offsets: Vec<u32>,
+        offsets: Lanes<u32>,
         /// Bytes per lane.
         width: u8,
         /// Active lanes.
@@ -101,7 +162,7 @@ pub enum WarpInstruction {
     /// Shared memory store.
     StoreShared {
         /// Byte offsets, one slot per lane.
-        offsets: Vec<u32>,
+        offsets: Lanes<u32>,
         /// Bytes per lane.
         width: u8,
         /// Active lanes.
@@ -347,7 +408,7 @@ mod tests {
         // would silently skip lanes 3..=4.
         let mut t = BlockTrace::with_warps(1);
         t.warps[0].push(WarpInstruction::LoadGlobal {
-            addrs: vec![0, 4, 8],
+            addrs: vec![0, 4, 8].into(),
             width: 4,
             mask: 0b1_0111,
         });
@@ -362,7 +423,7 @@ mod tests {
         let mut t = BlockTrace::with_warps(2);
         for w in &mut t.warps {
             w.push(WarpInstruction::StoreShared {
-                offsets: vec![0; 16],
+                offsets: vec![0; 16].into(),
                 width: 4,
                 mask: FULL_MASK,
             });
@@ -377,12 +438,12 @@ mod tests {
         // 0. A single active lane with 32 slots is valid.
         let mut t = BlockTrace::with_warps(1);
         t.warps[0].push(WarpInstruction::StoreGlobal {
-            addrs: vec![0; 32],
+            addrs: vec![0; 32].into(),
             width: 4,
             mask: 1,
         });
         t.warps[0].push(WarpInstruction::LoadShared {
-            offsets: vec![0; 32],
+            offsets: vec![0; 32].into(),
             width: 4,
             mask: 0,
         });

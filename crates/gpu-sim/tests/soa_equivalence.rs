@@ -88,7 +88,7 @@ fn mixed_block(seed: u64) -> BlockTrace {
             .mask(first_lanes(23))
             .store_shared_seq(0, 4)
             .mask(FULL_MASK)
-            .store_global((0..32).map(|i| base + i * 512).collect(), 8);
+            .store_global((0..32).map(|i| base + i * 512).collect::<Vec<_>>(), 8);
     }
     b.build().unwrap()
 }
@@ -174,20 +174,30 @@ fn arb_instruction() -> impl Strategy<Value = WarpInstruction> {
     prop_oneof![
         (1u32..8, any::<u32>()).prop_map(|(count, mask)| WarpInstruction::Alu { count, mask }),
         any::<u32>().prop_map(|mask| WarpInstruction::Sfu { mask }),
-        (arb_addrs(), arb_width(), any::<u32>())
-            .prop_map(|(addrs, width, mask)| WarpInstruction::LoadGlobal { addrs, width, mask }),
-        (arb_addrs(), arb_width(), any::<u32>())
-            .prop_map(|(addrs, width, mask)| WarpInstruction::StoreGlobal { addrs, width, mask }),
+        (arb_addrs(), arb_width(), any::<u32>()).prop_map(|(addrs, width, mask)| {
+            WarpInstruction::LoadGlobal {
+                addrs: addrs.into(),
+                width,
+                mask,
+            }
+        }),
+        (arb_addrs(), arb_width(), any::<u32>()).prop_map(|(addrs, width, mask)| {
+            WarpInstruction::StoreGlobal {
+                addrs: addrs.into(),
+                width,
+                mask,
+            }
+        }),
         (arb_offsets(), arb_width(), any::<u32>()).prop_map(|(offsets, width, mask)| {
             WarpInstruction::LoadShared {
-                offsets,
+                offsets: offsets.into(),
                 width,
                 mask,
             }
         }),
         (arb_offsets(), arb_width(), any::<u32>()).prop_map(|(offsets, width, mask)| {
             WarpInstruction::StoreShared {
-                offsets,
+                offsets: offsets.into(),
                 width,
                 mask,
             }

@@ -17,7 +17,11 @@
 //! `u32::MAX`, and non-power-of-two banks and segments, which must take the
 //! general path. The translated-warp reuse is pinned twice: the predicate
 //! [`is_translation`] against a naive Δ check, and compile's whole bank
-//! sweep against the reference, access by access.
+//! sweep against the reference, access by access. The sweep's inputs
+//! include warps that share the previous warp's [`Lanes`] handle, with the
+//! same or another width and mask, and equal copies in their own
+//! allocation: identity is a translation by Δ = 0, and sharing a handle
+//! must never change a count.
 
 mod reference;
 
@@ -25,7 +29,9 @@ use gpu_sim::banks::{conflict_degree_scratch, is_translation, replays_scratch, B
 use gpu_sim::coalesce::{coalesce_into, requested_bytes};
 use gpu_sim::occupancy::{occupancy, OccupancyLimiter};
 use gpu_sim::soa;
-use gpu_sim::trace::{first_lanes, BlockTrace, LaneMask, LaunchConfig, WarpInstruction, FULL_MASK};
+use gpu_sim::trace::{
+    first_lanes, BlockTrace, LaneMask, Lanes, LaunchConfig, WarpInstruction, FULL_MASK,
+};
 use gpu_sim::GpuConfig;
 use proptest::prelude::*;
 use reference::{coalesce, conflict_degree, replays};
@@ -116,6 +122,10 @@ enum Derive {
     Translate(i64),
     /// Every lane moves by a Δ that is not a multiple of the period.
     Skew(i64),
+    /// The previous warp's own handle: shared, not copied.
+    Same,
+    /// The previous warp's offsets copied into a new allocation.
+    Copy,
     /// Translated, then one lane (active or not) moved by a few bytes.
     Perturb(i64, usize),
     /// Same offsets, another width.
@@ -134,6 +144,8 @@ fn arb_move() -> impl Strategy<Value = Derive> {
         // Translations twice, so reuse is drawn often.
         (-3i64..=3).prop_map(Derive::Translate),
         (-3i64..=3).prop_map(Derive::Translate),
+        Just(Derive::Same),
+        Just(Derive::Copy),
         (-3i64..=3).prop_map(Derive::Skew),
         (-3i64..=3, 0usize..32).prop_map(|(k, l)| Derive::Perturb(k, l)),
     ]
@@ -150,9 +162,9 @@ fn arb_derive() -> impl Strategy<Value = Derive> {
     ]
 }
 
-fn shared(offsets: Vec<u32>, width: u8, mask: LaneMask) -> WarpInstruction {
+fn shared(offsets: impl Into<Lanes<u32>>, width: u8, mask: LaneMask) -> WarpInstruction {
     WarpInstruction::LoadShared {
-        offsets,
+        offsets: offsets.into(),
         width,
         mask,
     }
@@ -164,6 +176,29 @@ fn shifted(offsets: &[u32], delta: i64) -> Option<Vec<u32>> {
     offsets
         .iter()
         .map(|&o| u32::try_from(o as i64 + delta).ok())
+        .collect()
+}
+
+/// `blocks` with every lane vector copied into its own allocation, so no
+/// two instructions share a handle.
+fn deep_copied(blocks: &[BlockTrace]) -> Vec<BlockTrace> {
+    let copy = |instr: &WarpInstruction| match instr {
+        WarpInstruction::LoadShared {
+            offsets,
+            width,
+            mask,
+        } => shared(offsets.to_vec(), *width, *mask),
+        other => other.clone(),
+    };
+    blocks
+        .iter()
+        .map(|b| BlockTrace {
+            warps: b
+                .warps
+                .iter()
+                .map(|w| w.iter().map(copy).collect())
+                .collect(),
+        })
         .collect()
 }
 
@@ -194,10 +229,12 @@ fn derive_stream(
                     },
                 };
             };
-            let moved = |delta: i64| shifted(offsets, delta).unwrap_or_else(|| offsets.clone());
+            let moved = |delta: i64| shifted(offsets, delta).unwrap_or_else(|| offsets.to_vec());
             match d {
                 Derive::Translate(k) => shared(moved(k * period), *width, *mask),
                 Derive::Skew(k) => shared(moved(k * period + 4), *width, *mask),
+                Derive::Same => shared(offsets.clone(), *width, *mask),
+                Derive::Copy => shared(offsets.to_vec(), *width, *mask),
                 Derive::Perturb(k, lane) => {
                     let mut o = moved(k * period);
                     o[*lane] = o[*lane].wrapping_add(4);
@@ -264,11 +301,13 @@ proptest! {
         }
     }
 
-    /// Compile's bank sweep, reuse across translated warps included, gives
-    /// every shared access the reference's replays: warps derive from the
-    /// previous one by translations, skews, perturbed lanes, other widths or
-    /// masks, unrelated accesses and shorter or longer streams, across
-    /// block boundaries.
+    /// Compile's bank sweep, reuse across translated and shared warps
+    /// included, gives every shared access the reference's replays: warps
+    /// derive from the previous one by translations, the same handle, equal
+    /// copies, skews, perturbed lanes, other widths or masks (on the same
+    /// handle), unrelated accesses and shorter or longer streams, across
+    /// block boundaries. The same blocks with every handle deep-copied
+    /// compile to the same replays.
     #[test]
     fn bank_sweep_matches_reference_across_derived_warps(
         first in prop::collection::vec((arb_offsets(), arb_width(), arb_mask()), 1..6),
@@ -293,6 +332,11 @@ proptest! {
             .map(|warps| BlockTrace { warps: warps.to_vec() })
             .collect();
         let compiled = soa::compile(&gpu, &blocks).unwrap();
+        let unshared = soa::compile(&gpu, &deep_copied(&blocks)).unwrap();
+        let replays_of = |c: &soa::CompiledLaunch| -> Vec<u16> {
+            c.warps().flat_map(|(_, ops)| ops.iter().map(|op| op.replays)).collect()
+        };
+        prop_assert_eq!(replays_of(&compiled), replays_of(&unshared));
         let mut checked = 0;
         for ((_, ops), stream) in compiled.warps().zip(&streams) {
             for (i, (op, instr)) in ops.iter().zip(stream).enumerate() {

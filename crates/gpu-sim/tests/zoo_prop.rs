@@ -14,7 +14,7 @@
 //!   fingerprint) can never alias results across differing hardware.
 
 use gpu_sim::counters::counters_for;
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 use gpu_sim::{
     profile_kernel, simulate_launch, simulate_launch_cached, GpuArchitecture, GpuConfig, SimCache,
 };
@@ -45,9 +45,9 @@ impl KernelTrace for MixedKernel {
         let mut t = BlockTrace::with_warps(2);
         for w in 0..2 {
             let base = (block_id as u64) << 14;
-            let strided: Vec<u64> = (0..32).map(|i| base + i * 64).collect();
-            let coalesced: Vec<u64> = (0..32).map(|i| base + i * 4).collect();
-            let conflicted: Vec<u32> = (0..32).map(|i| ((i % 2) * 128) as u32).collect();
+            let strided: Lanes<u64> = (0..32).map(|i| base + i * 64).collect();
+            let coalesced: Lanes<u64> = (0..32).map(|i| base + i * 4).collect();
+            let conflicted: Lanes<u32> = (0..32).map(|i| ((i % 2) * 128) as u32).collect();
             t.warps[w].push(WarpInstruction::Alu {
                 count: 4,
                 mask: u32::MAX,

@@ -11,7 +11,7 @@
 //! bandwidth-limited at large sizes.
 
 use crate::{Application, INPUT2_BASE, INPUT_BASE, OUTPUT_BASE};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
 
 /// Tile edge (the SDK's BLOCK_SIZE): 16 threads in x and y.
@@ -177,8 +177,13 @@ impl KernelTrace for MatmulTiled {
         let mut trace = BlockTrace::with_warps(warps);
         let bs_base = (t * t * 4) as u32; // Bs after As
 
+        // Shared offsets depend only on the warp and the tile edge, so each
+        // warp's patterns are built once and shared by every tile step.
+        let shared: Vec<TileOffsets> = (0..warps)
+            .map(|w| TileOffsets::new(w, t, bs_base))
+            .collect();
         for m in 0..nb {
-            for w in 0..warps {
+            for (w, offs) in shared.iter().enumerate() {
                 let stream = &mut trace.warps[w];
                 // Index arithmetic for the tile loads.
                 stream.push(WarpInstruction::Alu {
@@ -186,52 +191,42 @@ impl KernelTrace for MatmulTiled {
                     mask: u32::MAX,
                 });
                 // Load A[by*t+ty][m*t+tx] -> As[ty][tx].
-                let mut a_addrs = vec![0u64; 32];
-                let mut as_off = vec![0u32; 32];
-                let mut b_addrs = vec![0u64; 32];
-                let mut bs_off = vec![0u32; 32];
+                let mut a_addrs = [0u64; 32];
+                let mut b_addrs = [0u64; 32];
                 for (lane, tx, ty) in warp_coords(w, t) {
                     a_addrs[lane] = elem(INPUT_BASE, n, by * t + ty, m * t + tx);
-                    as_off[lane] = ((ty * t + tx) * 4) as u32;
                     b_addrs[lane] = elem(INPUT2_BASE, n, m * t + ty, bx * t + tx);
-                    bs_off[lane] = bs_base + ((ty * t + tx) * 4) as u32;
                 }
                 stream.push(WarpInstruction::LoadGlobal {
-                    addrs: a_addrs,
+                    addrs: a_addrs.into(),
                     width: 4,
                     mask: u32::MAX,
                 });
                 stream.push(WarpInstruction::StoreShared {
-                    offsets: as_off,
+                    offsets: offs.a_store.clone(),
                     width: 4,
                     mask: u32::MAX,
                 });
                 stream.push(WarpInstruction::LoadGlobal {
-                    addrs: b_addrs,
+                    addrs: b_addrs.into(),
                     width: 4,
                     mask: u32::MAX,
                 });
                 stream.push(WarpInstruction::StoreShared {
-                    offsets: bs_off,
+                    offsets: offs.b_store.clone(),
                     width: 4,
                     mask: u32::MAX,
                 });
                 stream.push(WarpInstruction::Barrier);
                 // t multiply-accumulate steps.
-                for k in 0..t {
-                    let mut as_k = vec![0u32; 32];
-                    let mut bs_k = vec![0u32; 32];
-                    for (lane, tx, ty) in warp_coords(w, t) {
-                        as_k[lane] = ((ty * t + k) * 4) as u32;
-                        bs_k[lane] = bs_base + ((k * t + tx) * 4) as u32;
-                    }
+                for (as_k, bs_k) in offs.a_rows.iter().zip(&offs.b_cols) {
                     stream.push(WarpInstruction::LoadShared {
-                        offsets: as_k,
+                        offsets: as_k.clone(),
                         width: 4,
                         mask: u32::MAX,
                     });
                     stream.push(WarpInstruction::LoadShared {
-                        offsets: bs_k,
+                        offsets: bs_k.clone(),
                         width: 4,
                         mask: u32::MAX,
                     });
@@ -250,17 +245,45 @@ impl KernelTrace for MatmulTiled {
                 count: 3,
                 mask: u32::MAX,
             });
-            let mut c_addrs = vec![0u64; 32];
+            let mut c_addrs = [0u64; 32];
             for (lane, tx, ty) in warp_coords(w, t) {
                 c_addrs[lane] = elem(OUTPUT_BASE, n, by * t + ty, bx * t + tx);
             }
             stream.push(WarpInstruction::StoreGlobal {
-                addrs: c_addrs,
+                addrs: c_addrs.into(),
                 width: 4,
                 mask: u32::MAX,
             });
         }
         trace
+    }
+}
+
+/// One warp's shared-memory offsets in the tiled kernel, identical in every
+/// tile step: the `As[ty][tx]`/`Bs[ty][tx]` tile stores and, for each
+/// `k < tile`, the `As[ty][k]`/`Bs[k][tx]` loads.
+struct TileOffsets {
+    a_store: Lanes<u32>,
+    b_store: Lanes<u32>,
+    a_rows: Vec<Lanes<u32>>,
+    b_cols: Vec<Lanes<u32>>,
+}
+
+impl TileOffsets {
+    fn new(w: usize, t: usize, bs_base: u32) -> TileOffsets {
+        let lanes = |base: u32, word: &dyn Fn(usize, usize) -> usize| -> Lanes<u32> {
+            warp_coords(w, t)
+                .map(|(_, tx, ty)| base + (word(tx, ty) * 4) as u32)
+                .collect()
+        };
+        TileOffsets {
+            a_store: lanes(0, &|tx, ty| ty * t + tx),
+            b_store: lanes(bs_base, &|tx, ty| ty * t + tx),
+            a_rows: (0..t).map(|k| lanes(0, &|_, ty| ty * t + k)).collect(),
+            b_cols: (0..t)
+                .map(|k| lanes(bs_base, &|tx, _| k * t + tx))
+                .collect(),
+        }
     }
 }
 
@@ -298,20 +321,20 @@ impl KernelTrace for MatmulNaive {
                 mask: u32::MAX,
             });
             for k in 0..n {
-                let mut a_addrs = vec![0u64; 32];
-                let mut b_addrs = vec![0u64; 32];
+                let mut a_addrs = [0u64; 32];
+                let mut b_addrs = [0u64; 32];
                 for (lane, tx, ty) in warp_coords(w, BLOCK_SIZE) {
                     // A[row][k] is a per-row broadcast; B[k][col] is coalesced.
                     a_addrs[lane] = elem(INPUT_BASE, n, by * BLOCK_SIZE + ty, k);
                     b_addrs[lane] = elem(INPUT2_BASE, n, k, bx * BLOCK_SIZE + tx);
                 }
                 stream.push(WarpInstruction::LoadGlobal {
-                    addrs: a_addrs,
+                    addrs: a_addrs.into(),
                     width: 4,
                     mask: u32::MAX,
                 });
                 stream.push(WarpInstruction::LoadGlobal {
-                    addrs: b_addrs,
+                    addrs: b_addrs.into(),
                     width: 4,
                     mask: u32::MAX,
                 });
@@ -320,12 +343,12 @@ impl KernelTrace for MatmulNaive {
                     mask: u32::MAX,
                 });
             }
-            let mut c_addrs = vec![0u64; 32];
+            let mut c_addrs = [0u64; 32];
             for (lane, tx, ty) in warp_coords(w, BLOCK_SIZE) {
                 c_addrs[lane] = elem(OUTPUT_BASE, n, by * BLOCK_SIZE + ty, bx * BLOCK_SIZE + tx);
             }
             stream.push(WarpInstruction::StoreGlobal {
-                addrs: c_addrs,
+                addrs: c_addrs.into(),
                 width: 4,
                 mask: u32::MAX,
             });

@@ -22,7 +22,7 @@
 //!   (`l1_shared_bank_conflict` on Fermi).
 
 use crate::{Application, INPUT2_BASE, INPUT_BASE};
-use gpu_sim::trace::{first_lanes, BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{first_lanes, BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
 
 /// Tile edge / threads per block (Rodinia's BLOCK_SIZE).
@@ -197,101 +197,138 @@ impl KernelTrace for NwKernel {
         let base_c = (bx * BLOCK_SIZE) as u64;
         let items = |r: u64, c: u64| INPUT_BASE + (r * cols + c) * 4;
         let refm = |r: u64, c: u64| INPUT2_BASE + (r * cols + c) * 4;
+        // Global addresses of one 16-lane tile row or column; lanes 16..32
+        // are inactive and hold 0.
+        let row16 = |addr: &dyn Fn(u64) -> u64| -> Lanes<u64> {
+            (0..32u64)
+                .map(|l| if l < 16 { addr(l) } else { 0 })
+                .collect()
+        };
 
         let mut trace = BlockTrace::with_warps(1);
         let s = &mut trace.warps[0];
+        TILE_OFFSETS.with(|offs| {
+            let shared_store = |s: &mut Vec<WarpInstruction>, offsets: &Lanes<u32>, mask| {
+                s.push(WarpInstruction::StoreShared {
+                    offsets: offsets.clone(),
+                    width: 4,
+                    mask,
+                });
+            };
 
-        // Index arithmetic.
-        s.push(WarpInstruction::Alu {
-            count: 6,
-            mask: T16,
-        });
+            // Index arithmetic.
+            s.push(WarpInstruction::Alu {
+                count: 6,
+                mask: T16,
+            });
 
-        // North boundary row: itemsets[base_r][base_c + tid + 1] — coalesced.
-        let north: Vec<u64> = (0..32)
-            .map(|l| {
-                if l < 16 {
-                    items(base_r, base_c + l as u64 + 1)
-                } else {
-                    0
-                }
-            })
-            .collect();
-        s.push(WarpInstruction::LoadGlobal {
-            addrs: north,
-            width: 4,
-            mask: T16,
-        });
-        s.push(WarpInstruction::StoreShared {
-            offsets: (0..32).map(|l| temp_off(0, (l % 16) + 1)).collect(),
-            width: 4,
-            mask: T16,
-        });
-        // West boundary column: itemsets[base_r + tid + 1][base_c] — strided
-        // by the full matrix row: one transaction per lane.
-        let west: Vec<u64> = (0..32)
-            .map(|l| {
-                if l < 16 {
-                    items(base_r + l as u64 + 1, base_c)
-                } else {
-                    0
-                }
-            })
-            .collect();
-        s.push(WarpInstruction::LoadGlobal {
-            addrs: west,
-            width: 4,
-            mask: T16,
-        });
-        s.push(WarpInstruction::StoreShared {
-            offsets: (0..32).map(|l| temp_off((l % 16) + 1, 0)).collect(),
-            width: 4,
-            mask: T16,
-        });
-        // NW corner by lane 0.
-        let mut corner = vec![0u64; 32];
-        corner[0] = items(base_r, base_c);
-        s.push(WarpInstruction::LoadGlobal {
-            addrs: corner,
-            width: 4,
-            mask: 1,
-        });
-        let mut corner_off = vec![0u32; 32];
-        corner_off[0] = temp_off(0, 0);
-        s.push(WarpInstruction::StoreShared {
-            offsets: corner_off,
-            width: 4,
-            mask: 1,
-        });
-
-        // Reference tile: 16 coalesced row loads.
-        for ty in 0..BLOCK_SIZE {
-            let addrs: Vec<u64> = (0..32)
-                .map(|l| {
-                    if l < 16 {
-                        refm(base_r + ty as u64 + 1, base_c + l as u64 + 1)
-                    } else {
-                        0
-                    }
-                })
-                .collect();
+            // North boundary row: itemsets[base_r][base_c + tid + 1] —
+            // coalesced.
             s.push(WarpInstruction::LoadGlobal {
-                addrs,
+                addrs: row16(&|l| items(base_r, base_c + l + 1)),
                 width: 4,
                 mask: T16,
             });
-            s.push(WarpInstruction::StoreShared {
-                offsets: (0..32).map(|l| ref_off(ty, l % 16)).collect(),
+            shared_store(s, &offs.north, T16);
+            // West boundary column: itemsets[base_r + tid + 1][base_c] —
+            // strided by the full matrix row: one transaction per lane.
+            s.push(WarpInstruction::LoadGlobal {
+                addrs: row16(&|l| items(base_r + l + 1, base_c)),
                 width: 4,
                 mask: T16,
             });
-        }
-        s.push(WarpInstruction::Barrier);
+            shared_store(s, &offs.west, T16);
+            // NW corner by lane 0.
+            let mut corner = [0u64; 32];
+            corner[0] = items(base_r, base_c);
+            s.push(WarpInstruction::LoadGlobal {
+                addrs: corner.into(),
+                width: 4,
+                mask: 1,
+            });
+            shared_store(s, &offs.corner, 1);
 
-        // Intra-tile diagonals. Shared offsets stride 16 words between lanes,
-        // the bank-conflicting pattern described in the module docs.
-        let diag_step = |s: &mut Vec<WarpInstruction>, m: usize, forward: bool| {
-            let mask = first_lanes(m + 1);
+            // Reference tile: 16 coalesced row loads.
+            for (ty, row) in offs.reference.iter().enumerate() {
+                let r = base_r + ty as u64 + 1;
+                s.push(WarpInstruction::LoadGlobal {
+                    addrs: row16(&|l| refm(r, base_c + l + 1)),
+                    width: 4,
+                    mask: T16,
+                });
+                shared_store(s, row, T16);
+            }
+            s.push(WarpInstruction::Barrier);
+
+            // Intra-tile diagonals: forward m = 0..16, then backward
+            // m = 14..=0. Shared offsets stride 16 words between lanes, the
+            // bank-conflicting pattern described in the module docs.
+            let steps = (0..BLOCK_SIZE)
+                .map(|m| (m, &offs.forward[m]))
+                .chain((0..BLOCK_SIZE - 1).rev().map(|m| (m, &offs.backward[m])));
+            for (m, [loads @ .., store]) in steps {
+                let mask = first_lanes(m + 1);
+                s.push(WarpInstruction::Branch {
+                    divergent: m + 1 < BLOCK_SIZE,
+                    mask: T16,
+                });
+                // Load NW, W, N neighbours and the reference cell.
+                for offsets in loads {
+                    s.push(WarpInstruction::LoadShared {
+                        offsets: offsets.clone(),
+                        width: 4,
+                        mask,
+                    });
+                }
+                s.push(WarpInstruction::Alu { count: 3, mask });
+                shared_store(s, store, mask);
+                s.push(WarpInstruction::Barrier);
+            }
+
+            // Write the tile back: 16 coalesced row stores.
+            for (ty, row) in offs.write_back.iter().enumerate() {
+                let r = base_r + ty as u64 + 1;
+                s.push(WarpInstruction::LoadShared {
+                    offsets: row.clone(),
+                    width: 4,
+                    mask: T16,
+                });
+                s.push(WarpInstruction::StoreGlobal {
+                    addrs: row16(&|l| items(r, base_c + l + 1)),
+                    width: 4,
+                    mask: T16,
+                });
+            }
+        });
+        trace
+    }
+}
+
+/// The shared-memory offsets of one NW block. They are tile-relative, so
+/// every block of every launch uses the same ~190 patterns.
+struct TileOffsets {
+    /// `temp[0][tid + 1]`: the north boundary row.
+    north: Lanes<u32>,
+    /// `temp[tid + 1][0]`: the west boundary column.
+    west: Lanes<u32>,
+    /// `temp[0][0]`, lane 0 only.
+    corner: Lanes<u32>,
+    /// `ref[ty][tid]` for each reference row `ty`.
+    reference: Vec<Lanes<u32>>,
+    /// Forward diagonal `m`: the NW, W, N and reference loads, then the
+    /// store, over lanes `0..=m`.
+    forward: Vec<[Lanes<u32>; 5]>,
+    /// Backward diagonal `m`, in the same order.
+    backward: Vec<[Lanes<u32>; 5]>,
+    /// `temp[ty + 1][tid + 1]` for each row `ty` written back.
+    write_back: Vec<Lanes<u32>>,
+}
+
+impl TileOffsets {
+    fn new() -> TileOffsets {
+        let lanes = |off: &dyn Fn(usize) -> u32| -> Lanes<u32> { (0..32).map(off).collect() };
+        // The five accesses of diagonal step `m`; lanes past `m` hold 0.
+        let diagonal = |m: usize, forward: bool| -> [Lanes<u32>; 5] {
             let coords = |tid: usize| -> (usize, usize) {
                 if forward {
                     (m - tid + 1, tid + 1)
@@ -299,81 +336,44 @@ impl KernelTrace for NwKernel {
                     (BLOCK_SIZE - tid, tid + BLOCK_SIZE - m)
                 }
             };
-            s.push(WarpInstruction::Branch {
-                divergent: m + 1 < BLOCK_SIZE,
-                mask: T16,
-            });
-            // Load NW, W, N neighbours and the reference cell.
-            for pick in 0..4u8 {
-                let offsets: Vec<u32> = (0..32)
-                    .map(|l| {
-                        if l <= m {
-                            let (ty, tx) = coords(l);
-                            match pick {
-                                0 => temp_off(ty - 1, tx - 1),
-                                1 => temp_off(ty, tx - 1),
-                                2 => temp_off(ty - 1, tx),
-                                _ => ref_off(ty - 1, tx - 1),
-                            }
-                        } else {
-                            0
-                        }
-                    })
-                    .collect();
-                s.push(WarpInstruction::LoadShared {
-                    offsets,
-                    width: 4,
-                    mask,
-                });
-            }
-            s.push(WarpInstruction::Alu { count: 3, mask });
-            s.push(WarpInstruction::StoreShared {
-                offsets: (0..32)
-                    .map(|l| {
-                        if l <= m {
-                            let (ty, tx) = coords(l);
-                            temp_off(ty, tx)
-                        } else {
-                            0
-                        }
-                    })
-                    .collect(),
-                width: 4,
-                mask,
-            });
-            s.push(WarpInstruction::Barrier);
-        };
-        for m in 0..BLOCK_SIZE {
-            diag_step(s, m, true);
-        }
-        for m in (0..BLOCK_SIZE - 1).rev() {
-            diag_step(s, m, false);
-        }
-
-        // Write the tile back: 16 coalesced row stores.
-        for ty in 0..BLOCK_SIZE {
-            s.push(WarpInstruction::LoadShared {
-                offsets: (0..32).map(|l| temp_off(ty + 1, (l % 16) + 1)).collect(),
-                width: 4,
-                mask: T16,
-            });
-            let addrs: Vec<u64> = (0..32)
-                .map(|l| {
-                    if l < 16 {
-                        items(base_r + ty as u64 + 1, base_c + l as u64 + 1)
+            let at = |f: fn(usize, usize) -> u32| {
+                lanes(&|l| {
+                    if l <= m {
+                        let (ty, tx) = coords(l);
+                        f(ty, tx)
                     } else {
                         0
                     }
                 })
-                .collect();
-            s.push(WarpInstruction::StoreGlobal {
-                addrs,
-                width: 4,
-                mask: T16,
-            });
+            };
+            [
+                at(|ty, tx| temp_off(ty - 1, tx - 1)),
+                at(|ty, tx| temp_off(ty, tx - 1)),
+                at(|ty, tx| temp_off(ty - 1, tx)),
+                at(|ty, tx| ref_off(ty - 1, tx - 1)),
+                at(temp_off),
+            ]
+        };
+        TileOffsets {
+            north: lanes(&|l| temp_off(0, (l % 16) + 1)),
+            west: lanes(&|l| temp_off((l % 16) + 1, 0)),
+            corner: lanes(&|l| if l == 0 { temp_off(0, 0) } else { 0 }),
+            reference: (0..BLOCK_SIZE)
+                .map(|ty| lanes(&|l| ref_off(ty, l % 16)))
+                .collect(),
+            forward: (0..BLOCK_SIZE).map(|m| diagonal(m, true)).collect(),
+            backward: (0..BLOCK_SIZE - 1).map(|m| diagonal(m, false)).collect(),
+            write_back: (0..BLOCK_SIZE)
+                .map(|ty| lanes(&|l| temp_off(ty + 1, (l % 16) + 1)))
+                .collect(),
         }
-        trace
     }
+}
+
+thread_local! {
+    /// Each thread's copy of the table, so parallel workers never share a
+    /// reference count.
+    static TILE_OFFSETS: TileOffsets = TileOffsets::new();
 }
 
 /// The full NW application for an `n x n` problem: one launch per diagonal,

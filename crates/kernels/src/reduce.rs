@@ -21,7 +21,7 @@
 //! `index = 2*s*tid` of `reduce1`.
 
 use crate::{Application, INPUT_BASE, OUTPUT_BASE};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
 use serde::{Deserialize, Serialize};
 
@@ -290,7 +290,7 @@ impl ReduceKernel {
         if mask == 0 {
             return;
         }
-        let offsets_src: Vec<u32> = (0..32)
+        let offsets_src: Lanes<u32> = (0..32)
             .map(|lane| {
                 let tid = w * 32 + lane;
                 if mask & (1 << lane) != 0 {
@@ -300,7 +300,7 @@ impl ReduceKernel {
                 }
             })
             .collect();
-        let offsets_dst: Vec<u32> = (0..32)
+        let offsets_dst: Lanes<u32> = (0..32)
             .map(|lane| {
                 let tid = w * 32 + lane;
                 if mask & (1 << lane) != 0 {
@@ -339,7 +339,7 @@ impl ReduceKernel {
         if mask == 0 {
             return;
         }
-        let addrs: Vec<u64> = (0..32)
+        let addrs: Lanes<u64> = (0..32)
             .map(|lane| {
                 let tid = w * 32 + lane;
                 if mask & (1 << lane) != 0 {
@@ -444,7 +444,7 @@ impl KernelTrace for ReduceKernel {
             }
             // Store the thread's value to shared memory (conflict-free).
             let full = self.mask_where(w, |_| true);
-            let offsets: Vec<u32> = (0..32).map(|lane| ((w * 32 + lane) * 4) as u32).collect();
+            let offsets: Lanes<u32> = (0..32).map(|lane| ((w * 32 + lane) * 4) as u32).collect();
             stream.push(WarpInstruction::StoreShared {
                 offsets,
                 width: 4,
@@ -546,10 +546,10 @@ impl KernelTrace for ReduceKernel {
             divergent: true,
             mask: self.mask_where(0, |_| true),
         });
-        let mut addrs = vec![0u64; 32];
+        let mut addrs = [0u64; 32];
         addrs[0] = self.output_base + block_id as u64 * 4;
         stream.push(WarpInstruction::StoreGlobal {
-            addrs,
+            addrs: addrs.into(),
             width: 4,
             mask: 1,
         });

@@ -11,7 +11,7 @@
 //! BlackForest.
 
 use crate::{Application, INPUT_BASE, OUTPUT_BASE};
-use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
+use gpu_sim::trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
 
 /// Tile edge (threads per block side).
@@ -138,8 +138,8 @@ impl KernelTrace for StencilKernel {
             });
             // Interior tile load: thread (tx, ty) loads its own cell into
             // tile[ty+1][tx+1] — coalesced (2 rows of 16 floats per warp).
-            let mut addrs = vec![0u64; 32];
-            let mut offs = vec![0u32; 32];
+            let mut addrs = [0u64; 32];
+            let mut offs = [0u32; 32];
             for lane in 0..32 {
                 let ty = 2 * w + lane / 16;
                 let tx = lane % 16;
@@ -147,12 +147,12 @@ impl KernelTrace for StencilKernel {
                 offs[lane] = tile_off(ty + 1, tx + 1);
             }
             stream.push(WarpInstruction::LoadGlobal {
-                addrs,
+                addrs: addrs.into(),
                 width: 4,
                 mask: u32::MAX,
             });
             stream.push(WarpInstruction::StoreShared {
-                offsets: offs,
+                offsets: offs.into(),
                 width: 4,
                 mask: u32::MAX,
             });
@@ -165,7 +165,7 @@ impl KernelTrace for StencilKernel {
             // North and south rows (coalesced row segments).
             for (row, tile_row) in [(-1isize, 0usize), (BLOCK_SIZE as isize, BLOCK_SIZE + 1)] {
                 let gi = clamp(by as isize * BLOCK_SIZE as isize + row);
-                let addrs: Vec<u64> = (0..32)
+                let addrs: Lanes<u64> = (0..32)
                     .map(|l| {
                         if l < 16 {
                             gaddr(gi, bx * BLOCK_SIZE + l)
@@ -188,7 +188,7 @@ impl KernelTrace for StencilKernel {
             // West and east columns (strided by the row size: uncoalesced).
             for (col, tile_col) in [(-1isize, 0usize), (BLOCK_SIZE as isize, BLOCK_SIZE + 1)] {
                 let gj = clamp(bx as isize * BLOCK_SIZE as isize + col);
-                let addrs: Vec<u64> = (0..32)
+                let addrs: Lanes<u64> = (0..32)
                     .map(|l| {
                         if l < 16 {
                             gaddr(by * BLOCK_SIZE + l, gj)
@@ -217,7 +217,7 @@ impl KernelTrace for StencilKernel {
         for w in 0..warps {
             let stream = &mut trace.warps[w];
             for (dy, dx) in [(1usize, 1usize), (0, 1), (2, 1), (1, 0), (1, 2)] {
-                let offs: Vec<u32> = (0..32)
+                let offs: Lanes<u32> = (0..32)
                     .map(|lane| {
                         let ty = 2 * w + lane / 16;
                         let tx = lane % 16;
@@ -234,7 +234,7 @@ impl KernelTrace for StencilKernel {
                 count: 5,
                 mask: u32::MAX,
             });
-            let addrs: Vec<u64> = (0..32)
+            let addrs: Lanes<u64> = (0..32)
                 .map(|lane| {
                     let ty = 2 * w + lane / 16;
                     let tx = lane % 16;

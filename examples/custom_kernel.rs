@@ -5,7 +5,9 @@
 //! addresses, poor coalescing) and accumulate into shared memory. This
 //! example shows the three steps a user takes:
 //!
-//! 1. describe the kernel's address patterns with [`gpu_sim::TraceBuilder`],
+//! 1. describe the kernel's address patterns with [`gpu_sim::TraceBuilder`]
+//!    (a pattern used more than once is built once as a [`gpu_sim::Lanes`]
+//!    handle and cloned: the trace shares it instead of copying it),
 //! 2. implement [`gpu_sim::KernelTrace`] for it, and
 //! 3. hand it to the BlackForest pipeline for profiling, modeling, and
 //!    bottleneck analysis.
@@ -20,7 +22,7 @@ use blackforest_suite::blackforest::collect::{
 use blackforest_suite::blackforest::model::{BlackForestModel, ModelConfig};
 use blackforest_suite::blackforest::{bottleneck, report};
 use blackforest_suite::gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig};
-use blackforest_suite::gpu_sim::{profile_kernel, GpuConfig, TraceBuilder};
+use blackforest_suite::gpu_sim::{profile_kernel, GpuConfig, Lanes, TraceBuilder};
 
 /// A gather kernel: `out[i] = sum_k table[idx[i*K + k]]` with a
 /// pseudo-random index table — the classic memory-access-pattern bottleneck.
@@ -61,7 +63,12 @@ impl KernelTrace for GatherKernel {
         let warps = 256 / gpu.warp_size;
         let mut b = TraceBuilder::new(warps);
         const TABLE: u64 = 0x2000_0000;
-        for w in 0..warps {
+        // Each warp's shared accumulator slots, written before the barrier
+        // and read back after it: one immutable pattern, shared by handle.
+        let slots: Vec<Lanes<u32>> = (0..warps)
+            .map(|w| (0..32).map(|lane| ((w * 32 + lane) * 4) as u32).collect())
+            .collect();
+        for (w, slot) in slots.iter().enumerate() {
             let mut s = b.warp(w).alu(2);
             for k in 0..self.k {
                 // Data-dependent per-lane addresses: poor coalescing.
@@ -74,12 +81,12 @@ impl KernelTrace for GatherKernel {
                 s = s.load_global(addrs, 4).alu(1);
             }
             // Accumulate into shared memory, conflict-free.
-            s.store_shared_seq((w * 128) as u32, 4);
+            s.store_shared(slot.clone(), 4);
         }
         b.barrier();
-        for w in 0..warps {
+        for (w, slot) in slots.into_iter().enumerate() {
             b.warp(w)
-                .load_shared_seq((w * 128) as u32, 4)
+                .load_shared(slot, 4)
                 .store_global_seq(0x6000_0000 + (block_id * 1024 + w * 128) as u64, 4);
         }
         b.build().expect("builder keeps barriers matched")
