@@ -9,7 +9,7 @@
 //! trends to produce a ranked bottleneck report with elimination hints.
 
 use crate::model::BlackForestModel;
-use bf_forest::partial::Trend;
+use bf_forest::partial::{PartialDependence, Trend};
 use serde::{Deserialize, Serialize};
 
 /// Performance-pattern categories, following §3.1's taxonomy of GPU
@@ -201,23 +201,30 @@ impl BottleneckReport {
     /// Analyses the top `k` variables of a fitted model.
     pub fn analyze(model: &BlackForestModel, k: usize) -> BottleneckReport {
         let rel = model.importance.relative();
-        let mut findings = Vec::new();
-        for name in model.ranking.iter().take(k) {
-            let j = model
-                .feature_names
-                .iter()
-                .position(|n| n == name)
-                .expect("ranking names come from the schema");
-            let pd = model.partial_dependence(name, 16).expect("feature exists");
-            findings.push(BottleneckFinding {
+        let names = &model.ranking[..k.min(model.ranking.len())];
+        let features: Vec<usize> = names
+            .iter()
+            .map(|name| {
+                model
+                    .feature_names
+                    .iter()
+                    .position(|n| n == name)
+                    .expect("ranking names come from the schema")
+            })
+            .collect();
+        let curves = PartialDependence::compute_many(&model.forest, &features, 16);
+        let findings = names
+            .iter()
+            .zip(features.iter().zip(&curves))
+            .map(|(name, (&j, pd))| BottleneckFinding {
                 counter: name.clone(),
                 importance: model.importance.mean_increase_mse[j],
                 relative_importance: rel[j],
                 category: categorize(name),
                 trend: pd.trend(),
                 correlation: pd.correlation(),
-            });
-        }
+            })
+            .collect();
         BottleneckReport { findings }
     }
 

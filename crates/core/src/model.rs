@@ -135,13 +135,14 @@ fn validate(forest: &RandomForest, test: &Dataset) -> Result<ValidationMetrics> 
     let preds = forest
         .predict(&test.rows)
         .map_err(|e| BfError::Fit(e.to_string()))?;
+    let (oob_mse, oob_r_squared) = forest.oob_errors();
     Ok(ValidationMetrics {
         mse: stats::mse(&preds, &test.response),
         rmse: stats::rmse(&preds, &test.response),
         r_squared: stats::r_squared(&preds, &test.response),
         mape: stats::mape(&preds, &test.response),
-        oob_mse: forest.oob_mse(),
-        oob_r_squared: forest.oob_r_squared(),
+        oob_mse,
+        oob_r_squared,
     })
 }
 

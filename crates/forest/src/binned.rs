@@ -12,8 +12,11 @@
 //!    The dataset is immutable and shared read-only by every tree/bootstrap.
 //! 2. **One O(n) sweep per (node, feature).** A node's histogram — per-bin
 //!    `(count, Σy)` — is accumulated in a single pass over the node's
-//!    bootstrap indices; the best boundary then falls out of a sweep over at
-//!    most `max_bins` bins. No sorting ever happens after the build.
+//!    bootstrap indices; the best boundary then falls out of a sweep over
+//!    the bins the node occupies, found through an occupancy bitset, and
+//!    only those bins are cleared afterwards. A small node on a feature
+//!    with many bins never touches the empty ones. No sorting ever happens
+//!    after the build.
 //! 3. **Sibling subtraction.** A node's histogram equals its parent's minus
 //!    its sibling's. Because the builder pops the right child first, the
 //!    right child's freshly scanned histograms can be subtracted from the
@@ -151,19 +154,27 @@ impl BinnedDataset {
     }
 }
 
-/// A node's per-bin statistics on one feature.
+/// A node's per-bin statistics on one feature, with an occupancy bitset so
+/// that clearing and sweeping touch only the bins the node's rows fill.
+///
+/// Invariant between nodes: every count and sum is zero and no bit is set.
+/// While a node holds the slot, bit `b` is set exactly when `counts[b] > 0`.
 #[derive(Debug, Clone, Default)]
 struct Hist {
     counts: Vec<u32>,
     sums: Vec<f64>,
+    /// Bit `b % 64` of word `b / 64` marks bin `b` as occupied.
+    occupied: Vec<u64>,
 }
 
 impl Hist {
-    fn reset(&mut self, n_bins: usize) {
-        self.counts.clear();
-        self.counts.resize(n_bins, 0);
-        self.sums.clear();
-        self.sums.resize(n_bins, 0.0);
+    /// Makes room for `n_bins` bins. Growing keeps the all-zero invariant.
+    fn ensure_bins(&mut self, n_bins: usize) {
+        if self.counts.len() < n_bins {
+            self.counts.resize(n_bins, 0);
+            self.sums.resize(n_bins, 0.0);
+            self.occupied.resize(n_bins.div_ceil(64), 0);
+        }
     }
 
     /// Accumulates `(count, Σy)` per bin in one pass over the node's indices.
@@ -172,19 +183,48 @@ impl Hist {
             let b = codes[i as usize] as usize;
             self.counts[b] += 1;
             self.sums[b] += y[i as usize];
+            self.occupied[b / 64] |= 1 << (b % 64);
         }
     }
 
     /// In-place `self -= other` (used to turn a parent histogram into the
-    /// remaining sibling's).
+    /// remaining sibling's). `other`'s rows are a subset of `self`'s, so
+    /// only its occupied bins change; a bin left empty is zeroed and
+    /// unmarked.
     fn subtract(&mut self, other: &Hist) {
-        for (c, &o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c -= o;
-        }
-        for (s, &o) in self.sums.iter_mut().zip(other.sums.iter()) {
-            *s -= o;
+        for b in set_bits(&other.occupied) {
+            self.counts[b] -= other.counts[b];
+            if self.counts[b] == 0 {
+                self.sums[b] = 0.0;
+                self.occupied[b / 64] &= !(1 << (b % 64));
+            } else {
+                self.sums[b] -= other.sums[b];
+            }
         }
     }
+
+    /// Zeroes the occupied bins, restoring the between-nodes invariant.
+    fn clear(&mut self) {
+        for b in set_bits(&self.occupied) {
+            self.counts[b] = 0;
+            self.sums[b] = 0.0;
+        }
+        self.occupied.fill(0);
+    }
+}
+
+/// The indices of the set bits of a bitset, in ascending order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                b
+            })
+        })
+    })
 }
 
 /// One parent's cached histograms, waiting for the right child to subtract
@@ -273,7 +313,8 @@ impl SiblingCache {
 /// Best boundary of one feature's node histogram.
 ///
 /// Mirrors [`crate::split::best_split_on_feature`] decision for decision:
-/// boundaries are swept left to right, `min_leaf` is enforced on both sides,
+/// boundaries between occupied bins are swept left to right (empty bins are
+/// never visited), `min_leaf` is enforced on both sides,
 /// ties keep the earlier boundary (strict `>`), and the same improvement
 /// floor guards constant-response nodes. Returns the winning [`Split`] plus
 /// the last bin routed left.
@@ -294,10 +335,7 @@ fn best_split_on_histogram(
     let mut left_sum = 0.0f64;
     let mut prev_occupied: Option<usize> = None;
     let mut best: Option<(Split, u16)> = None;
-    for b in 0..hist.counts.len() {
-        if hist.counts[b] == 0 {
-            continue;
-        }
+    for b in set_bits(&hist.occupied) {
         if let Some(pb) = prev_occupied {
             if left_n >= min_leaf && n - left_n >= min_leaf {
                 let right_sum = total_sum - left_sum;
@@ -379,8 +417,8 @@ pub(crate) fn fit_binned_on_indices(
     let mut indices: Vec<u32> = idx.to_vec();
     let mut feature_pool: Vec<usize> = (0..n_features).collect();
 
-    // Reusable per-node histogram slots (one per mtry candidate) plus the
-    // bounded sibling arena: all allocation happens up front, not per node.
+    // Reusable per-node histogram slots (one per mtry candidate, zeroed
+    // between nodes by `Hist::clear`) plus the bounded sibling arena.
     let mut histset: Vec<Hist> = (0..mtry).map(|_| Hist::default()).collect();
     let mut cache = SiblingCache::new(64);
     // Subtraction beats a rescan only when the node dwarfs its bin count.
@@ -402,11 +440,8 @@ pub(crate) fn fit_binned_on_indices(
     while let Some(item) = stack.pop() {
         let node_idx = &indices[item.start..item.end];
         let n = node_idx.len();
-        let mean = if n == 0 {
-            0.0
-        } else {
-            node_idx.iter().map(|&i| y[i as usize]).sum::<f64>() / n as f64
-        };
+        let total_sum: f64 = node_idx.iter().map(|&i| y[i as usize]).sum();
+        let mean = if n == 0 { 0.0 } else { total_sum / n as f64 };
 
         let can_split = n >= 2 * params.min_node_size && item.depth < params.max_depth;
         let mut chosen: Option<(Split, u16)> = None;
@@ -417,17 +452,12 @@ pub(crate) fn fit_binned_on_indices(
                 let pick = rng.random_range(k..n_features);
                 feature_pool.swap(k, pick);
             }
-            let total_sum: f64 = node_idx.iter().map(|&i| y[i as usize]).sum();
             for (k, &f) in feature_pool[..mtry].iter().enumerate() {
                 let codes = binned.feature_codes(f);
-                let cached = item
-                    .use_cache
-                    .and_then(|id| cache.lookup(id, f as u32))
-                    .cloned();
-                match cached {
-                    Some(h) => histset[k] = h,
+                match item.use_cache.and_then(|id| cache.lookup(id, f as u32)) {
+                    Some(h) => histset[k].clone_from(h),
                     None => {
-                        histset[k].reset(binned.n_bins(f));
+                        histset[k].ensure_bins(binned.n_bins(f));
                         histset[k].scan(codes, y, node_idx);
                         if let Some(id) = item.fill_cache {
                             cache.subtract_right(id, f as u32, &histset[k]);
@@ -512,6 +542,11 @@ pub(crate) fn fit_binned_on_indices(
                 });
             }
         }
+        if can_split {
+            for h in &mut histset[..mtry] {
+                h.clear();
+            }
+        }
         if let Some(id) = item.use_cache {
             cache.release(id);
         }
@@ -587,7 +622,7 @@ mod tests {
         let idx: Vec<u32> = (0..10).collect();
         let b = BinnedDataset::build(&[values], 256);
         let mut h = Hist::default();
-        h.reset(b.n_bins(0));
+        h.ensure_bins(b.n_bins(0));
         h.scan(b.feature_codes(0), &y, &idx);
         let total: f64 = y.iter().sum();
         let (s, split_bin) = best_split_on_histogram(0, &b.bins[0], &h, 10, total, 1).unwrap();
@@ -602,14 +637,14 @@ mod tests {
         let constant = BinnedDataset::build(&[vec![3.0; 8]], 256);
         let y: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let mut h = Hist::default();
-        h.reset(constant.n_bins(0));
+        h.ensure_bins(constant.n_bins(0));
         h.scan(constant.feature_codes(0), &y, &idx);
         assert!(best_split_on_histogram(0, &constant.bins[0], &h, 8, y.iter().sum(), 1).is_none());
 
         let varying = BinnedDataset::build(&[(0..8).map(|i| i as f64).collect()], 256);
         let flat = vec![5.0; 8];
         let mut h = Hist::default();
-        h.reset(varying.n_bins(0));
+        h.ensure_bins(varying.n_bins(0));
         h.scan(varying.feature_codes(0), &flat, &idx);
         assert!(best_split_on_histogram(0, &varying.bins[0], &h, 8, 40.0, 1).is_none());
     }
@@ -624,18 +659,219 @@ mod tests {
         let (left_idx, right_idx): (Vec<u32>, Vec<u32>) =
             parent_idx.iter().partition(|&&i| codes[i as usize] <= 7);
         let mut parent = Hist::default();
-        parent.reset(b.n_bins(0));
+        parent.ensure_bins(b.n_bins(0));
         parent.scan(codes, &y, &parent_idx);
         let mut right = Hist::default();
-        right.reset(b.n_bins(0));
+        right.ensure_bins(b.n_bins(0));
         right.scan(codes, &y, &right_idx);
         let mut left_direct = Hist::default();
-        left_direct.reset(b.n_bins(0));
+        left_direct.ensure_bins(b.n_bins(0));
         left_direct.scan(codes, &y, &left_idx);
         parent.subtract(&right);
         assert_eq!(parent.counts, left_direct.counts);
         // Integer-valued y: sums subtract exactly.
         assert_eq!(parent.sums, left_direct.sums);
+    }
+
+    /// The dense sweep the occupancy sweep replaced, kept as the reference:
+    /// it visits every bin `0..n_bins` and skips the empty ones in place.
+    fn dense_reference_split(
+        feature: usize,
+        bins: &FeatureBins,
+        counts: &[u32],
+        sums: &[f64],
+        n: usize,
+        total_sum: f64,
+        min_leaf: usize,
+    ) -> Option<(Split, u16)> {
+        if n < 2 * min_leaf {
+            return None;
+        }
+        let total_n = n as f64;
+        let parent_score = total_sum * total_sum / total_n;
+        let mut left_n = 0usize;
+        let mut left_sum = 0.0f64;
+        let mut prev_occupied: Option<usize> = None;
+        let mut best: Option<(Split, u16)> = None;
+        for b in 0..counts.len() {
+            if counts[b] == 0 {
+                continue;
+            }
+            if let Some(pb) = prev_occupied {
+                if left_n >= min_leaf && n - left_n >= min_leaf {
+                    let right_sum = total_sum - left_sum;
+                    let right_n = total_n - left_n as f64;
+                    let score =
+                        left_sum * left_sum / left_n as f64 + right_sum * right_sum / right_n;
+                    let improvement = score - parent_score;
+                    if best
+                        .as_ref()
+                        .is_none_or(|(s, _)| improvement > s.improvement)
+                    {
+                        best = Some((
+                            Split {
+                                feature,
+                                threshold: 0.5 * (bins.hi[pb] + bins.lo[b]),
+                                improvement,
+                                left_count: left_n,
+                            },
+                            pb as u16,
+                        ));
+                    }
+                }
+            }
+            left_n += counts[b] as usize;
+            left_sum += sums[b];
+            prev_occupied = Some(b);
+        }
+        best.filter(|(s, _)| s.improvement > 1e-12 * (1.0 + parent_score.abs()))
+    }
+
+    /// Dense per-bin `(counts, sums)` of the rows in `idx`, as the replaced
+    /// `reset` + `scan` built them.
+    fn dense_scan(n_bins: usize, codes: &[u16], y: &[f64], idx: &[u32]) -> (Vec<u32>, Vec<f64>) {
+        let mut counts = vec![0u32; n_bins];
+        let mut sums = vec![0.0; n_bins];
+        for &i in idx {
+            counts[codes[i as usize] as usize] += 1;
+            sums[codes[i as usize] as usize] += y[i as usize];
+        }
+        (counts, sums)
+    }
+
+    /// A split as raw bits, so two results compare bit for bit.
+    fn split_bits(found: Option<(Split, u16)>) -> Option<(usize, u64, u64, usize, u16)> {
+        found.map(|(s, bin)| {
+            (
+                s.feature,
+                s.threshold.to_bits(),
+                s.improvement.to_bits(),
+                s.left_count,
+                bin,
+            )
+        })
+    }
+
+    fn assert_cleared(h: &Hist) {
+        assert!(h.counts.iter().all(|&c| c == 0));
+        assert!(h.sums.iter().all(|&v| v.to_bits() == 0));
+        assert!(h.occupied.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn occupied_sweep_matches_dense_sweep_on_random_histograms() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        // One reused slot, as the builder reuses its `histset`, so stale
+        // state from an earlier (wider) feature would show up.
+        let mut slot = Hist::default();
+        for trial in 0..400 {
+            let n_bins = rng.random_range(1..300usize);
+            let n_rows = rng.random_range(2..400usize);
+            // Rows fall into a random subset of the bins, so many bins stay
+            // empty, as on a small node over a high-cardinality feature.
+            let live: Vec<u16> = (0..rng.random_range(1..=n_bins.min(40)))
+                .map(|_| rng.random_range(0..n_bins) as u16)
+                .collect();
+            let codes: Vec<u16> = (0..n_rows)
+                .map(|_| live[rng.random_range(0..live.len())])
+                .collect();
+            let y: Vec<f64> = (0..n_rows)
+                .map(|_| rng.random_range(-50.0..50.0f64) * 1.37)
+                .collect();
+            let bins = FeatureBins {
+                lo: (0..n_bins).map(|b| b as f64 * 2.0).collect(),
+                hi: (0..n_bins).map(|b| b as f64 * 2.0 + 0.5).collect(),
+            };
+            // A bootstrap-like parent node and a random right child of it.
+            let parent_idx: Vec<u32> = (0..n_rows)
+                .map(|_| rng.random_range(0..n_rows) as u32)
+                .collect();
+            let right_idx: Vec<u32> = parent_idx
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.5))
+                .collect();
+
+            let (pc, ps) = dense_scan(n_bins, &codes, &y, &parent_idx);
+            let (rc, rs) = dense_scan(n_bins, &codes, &y, &right_idx);
+            let lc: Vec<u32> = pc.iter().zip(&rc).map(|(p, r)| p - r).collect();
+            let ls: Vec<f64> = ps.iter().zip(&rs).map(|(p, r)| p - r).collect();
+
+            let mut parent = Hist::default();
+            parent.ensure_bins(n_bins);
+            parent.scan(&codes, &y, &parent_idx);
+            slot.ensure_bins(n_bins);
+            slot.scan(&codes, &y, &right_idx);
+            let mut left = parent.clone();
+            left.subtract(&slot);
+
+            let nodes = [
+                (&parent, &pc, &ps, parent_idx.len()),
+                (&slot, &rc, &rs, right_idx.len()),
+                (&left, &lc, &ls, parent_idx.len() - right_idx.len()),
+            ];
+            for (hist, counts, sums, n) in nodes {
+                let total: f64 = sums.iter().sum();
+                for min_leaf in [1, 3, 5] {
+                    let got = best_split_on_histogram(7, &bins, hist, n, total, min_leaf);
+                    let want = dense_reference_split(7, &bins, counts, sums, n, total, min_leaf);
+                    assert_eq!(
+                        split_bits(got),
+                        split_bits(want),
+                        "trial {trial}, min_leaf {min_leaf}"
+                    );
+                }
+            }
+            // The subtracted histogram marks exactly the bins left occupied.
+            let marked: Vec<usize> = set_bits(&left.occupied).collect();
+            let nonzero: Vec<usize> = (0..n_bins).filter(|&b| lc[b] > 0).collect();
+            assert_eq!(marked, nonzero, "trial {trial}");
+            slot.clear();
+            assert_cleared(&slot);
+            left.clear();
+            assert_cleared(&left);
+        }
+    }
+
+    #[test]
+    fn sibling_subtraction_path_matches_exact_tree() {
+        // Six distinct values per feature and `max_bins` 6: pure bins, and
+        // every node of at least 12 rows parks its histograms, so most of
+        // the tree's left children sweep subtracted histograms. Integer
+        // data keeps every sum exact, so the exact tree is the reference.
+        let x: Vec<Vec<f64>> = (0..300)
+            .map(|i| {
+                vec![
+                    (i % 6) as f64,
+                    ((i * 7) % 6) as f64 * 3.0,
+                    ((i / 5) % 6) as f64,
+                    ((i * 11) % 5) as f64,
+                ]
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, r)| 5.0 * r[0] - 2.0 * r[1] + r[2] * r[3] + (i % 3) as f64)
+            .collect();
+        let cols = crate::tree::rows_to_columns(&x);
+        let binned = BinnedDataset::build(&cols, 6);
+        let mut bootstrap = StdRng::seed_from_u64(5);
+        for seed in 0..8u64 {
+            let idx: Vec<u32> = (0..300)
+                .map(|_| bootstrap.random_range(0..300u32))
+                .collect();
+            let params = TreeParams {
+                mtry: 1 + (seed as usize % 4),
+                min_node_size: 2,
+                ..TreeParams::default()
+            };
+            let mut rng_a = StdRng::seed_from_u64(seed);
+            let mut rng_b = StdRng::seed_from_u64(seed);
+            let exact = RegressionTree::fit_on_indices(&cols, &y, &idx, &params, &mut rng_a);
+            let binned_tree = fit_binned_on_indices(&binned, &y, &idx, &params, &mut rng_b);
+            assert_eq!(exact, binned_tree, "seed {seed}");
+        }
     }
 
     #[test]

@@ -266,18 +266,30 @@ impl RandomForest {
     /// Out-of-bag mean squared error — the forest's honest generalisation
     /// error estimate (the paper's `MSE_OOB`).
     pub fn oob_mse(&self) -> f64 {
-        let preds = self.oob_predictions();
-        bf_mse(&preds, &self.y)
+        self.oob_errors().0
     }
 
     /// Percentage of response variance explained, computed from OOB error as
     /// R's `randomForest` does: `1 - MSE_OOB / var(y)`.
     pub fn oob_r_squared(&self) -> f64 {
+        self.oob_errors().1
+    }
+
+    /// [`Self::oob_mse`] and [`Self::oob_r_squared`] from one pass over the
+    /// OOB predictions.
+    pub fn oob_errors(&self) -> (f64, f64) {
+        let mse = bf_mse(&self.oob_predictions(), &self.y);
         let var = population_variance(&self.y);
-        if var == 0.0 {
-            return if self.oob_mse() == 0.0 { 1.0 } else { 0.0 };
-        }
-        1.0 - self.oob_mse() / var
+        let r_squared = if var == 0.0 {
+            if mse == 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        } else {
+            1.0 - mse / var
+        };
+        (mse, r_squared)
     }
 
     /// Permutation variable importance (see [`crate::importance`]).

@@ -11,6 +11,7 @@
 //! z-score-style standardised value, mirroring R's `importance()` output.
 
 use crate::forest::{bf_mse, RandomForest};
+use crate::tree::path_bit;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
@@ -31,62 +32,15 @@ pub struct VariableImportance {
 impl VariableImportance {
     /// Computes permutation importance for the given forest, tree by tree.
     pub fn compute(forest: &RandomForest) -> VariableImportance {
-        let p = forest.n_features();
-        let n_trees = forest.trees.len();
+        Self::from_increases(forest.n_features(), &per_tree_increases(forest))
+    }
 
-        // Per tree: baseline OOB MSE, then the OOB MSE with each variable's
-        // OOB values permuted. The permutation is simulated cheaply: we walk
-        // the OOB rows pairing each with a shuffled donor row's value for the
-        // permuted feature, using `predict_columns`' override hook so no row
-        // copies are made.
-        let per_tree: Vec<Vec<f64>> = (0..n_trees)
-            .into_par_iter()
-            .map(|t| {
-                let tree = &forest.trees[t];
-                let oob = &forest.oob_indices[t];
-                let mut incs = vec![0.0; p];
-                if oob.len() < 2 {
-                    return incs;
-                }
-                let base_preds: Vec<f64> = oob
-                    .iter()
-                    .map(|&i| tree.predict_columns(&forest.columns, i as usize, None))
-                    .collect();
-                let obs: Vec<f64> = oob.iter().map(|&i| forest.y[i as usize]).collect();
-                let base_mse = bf_mse(&base_preds, &obs);
-                // Permuting a feature the tree never splits on leaves every
-                // prediction equal to the base one, so its increase is this
-                // value; each stream below is seeded fresh, so skipping one
-                // shifts no other.
-                let splits_on = tree.split_features();
-                let unread_inc = bf_mse(&base_preds, &obs) - base_mse;
-                // Deterministic permutation stream per (tree, feature).
-                for f in 0..p {
-                    if !splits_on[f] {
-                        incs[f] = unread_inc;
-                        continue;
-                    }
-                    let mut rng = StdRng::seed_from_u64(
-                        forest.tree_seeds[t] ^ (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    let mut perm: Vec<u32> = oob.to_vec();
-                    perm.shuffle(&mut rng);
-                    let preds: Vec<f64> = oob
-                        .iter()
-                        .zip(perm.iter())
-                        .map(|(&i, &donor)| {
-                            let v = forest.columns[f][donor as usize];
-                            tree.predict_columns(&forest.columns, i as usize, Some((f, v)))
-                        })
-                        .collect();
-                    incs[f] = bf_mse(&preds, &obs) - base_mse;
-                }
-                incs
-            })
-            .collect();
-
+    /// Mean, standard deviation and standardised score per feature from
+    /// every tree's OOB-MSE increases.
+    fn from_increases(p: usize, per_tree: &[Vec<f64>]) -> VariableImportance {
+        let n_trees = per_tree.len();
         let mut mean = vec![0.0; p];
-        for tree_incs in &per_tree {
+        for tree_incs in per_tree {
             for (m, &v) in mean.iter_mut().zip(tree_incs.iter()) {
                 *m += v;
             }
@@ -96,7 +50,7 @@ impl VariableImportance {
         }
         let mut sd = vec![0.0; p];
         if n_trees > 1 {
-            for tree_incs in &per_tree {
+            for tree_incs in per_tree {
                 for ((s, &v), &m) in sd.iter_mut().zip(tree_incs.iter()).zip(mean.iter()) {
                     *s += (v - m) * (v - m);
                 }
@@ -159,9 +113,173 @@ impl VariableImportance {
     }
 }
 
+/// Every tree's increase in OOB MSE per permuted feature, `[tree][feature]`.
+fn per_tree_increases(forest: &RandomForest) -> Vec<Vec<f64>> {
+    let p = forest.n_features();
+    // Per tree: baseline OOB MSE, then the OOB MSE with each variable's
+    // OOB values permuted. The permutation is simulated cheaply: we walk
+    // the OOB rows pairing each with a shuffled donor row's value for the
+    // permuted feature, using `predict_columns`' override hook so no row
+    // copies are made. Only rows whose path splits on the permuted
+    // feature can change, so every other row reuses its base prediction.
+    (0..forest.trees.len())
+        .into_par_iter()
+        .map(|t| {
+            let tree = &forest.trees[t];
+            let oob = &forest.oob_indices[t];
+            let mut incs = vec![0.0; p];
+            if oob.len() < 2 {
+                return incs;
+            }
+            let (base_preds, paths): (Vec<f64>, Vec<u64>) = oob
+                .iter()
+                .map(|&i| tree.leaf_and_path(&forest.columns, i as usize))
+                .unzip();
+            let obs: Vec<f64> = oob.iter().map(|&i| forest.y[i as usize]).collect();
+            let base_mse = bf_mse(&base_preds, &obs);
+            // Permuting a feature no OOB path splits on leaves every
+            // prediction equal to the base one, so its increase is this
+            // value; each stream below is seeded fresh, so skipping one
+            // shifts no other.
+            let any_path = paths.iter().fold(0, |acc, &m| acc | m);
+            let unread_inc = bf_mse(&base_preds, &obs) - base_mse;
+            // Deterministic permutation stream per (tree, feature).
+            for f in 0..p {
+                let bit = path_bit(f);
+                if any_path & bit == 0 {
+                    incs[f] = unread_inc;
+                    continue;
+                }
+                let mut rng = StdRng::seed_from_u64(
+                    forest.tree_seeds[t] ^ (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                let mut perm: Vec<u32> = oob.to_vec();
+                perm.shuffle(&mut rng);
+                let preds: Vec<f64> = oob
+                    .iter()
+                    .zip(&perm)
+                    .zip(base_preds.iter().zip(&paths))
+                    .map(|((&i, &donor), (&base, &path))| {
+                        if path & bit == 0 {
+                            return base;
+                        }
+                        let v = forest.columns[f][donor as usize];
+                        tree.predict_columns(&forest.columns, i as usize, Some((f, v)))
+                    })
+                    .collect();
+                incs[f] = bf_mse(&preds, &obs) - base_mse;
+            }
+            incs
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{ForestParams, RandomForest};
+    use super::*;
+    use crate::tree::Node;
+    use crate::{ForestParams, SplitStrategy};
+
+    /// The reference: every OOB row walked again for every permuted
+    /// feature, with the same per-(tree, feature) permutation streams.
+    fn reference_increases(forest: &RandomForest) -> Vec<Vec<f64>> {
+        let p = forest.n_features();
+        (0..forest.trees.len())
+            .map(|t| {
+                let tree = &forest.trees[t];
+                let oob = &forest.oob_indices[t];
+                let mut incs = vec![0.0; p];
+                if oob.len() < 2 {
+                    return incs;
+                }
+                let walk = |override_feature| -> Vec<f64> {
+                    oob.iter()
+                        .map(|&i| {
+                            tree.predict_columns(&forest.columns, i as usize, override_feature)
+                        })
+                        .collect()
+                };
+                let obs: Vec<f64> = oob.iter().map(|&i| forest.y[i as usize]).collect();
+                let base_mse = bf_mse(&walk(None), &obs);
+                for f in 0..p {
+                    let mut rng = StdRng::seed_from_u64(
+                        forest.tree_seeds[t] ^ (f as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    );
+                    let mut perm: Vec<u32> = oob.to_vec();
+                    perm.shuffle(&mut rng);
+                    let preds: Vec<f64> = oob
+                        .iter()
+                        .zip(&perm)
+                        .map(|(&i, &donor)| {
+                            let v = forest.columns[f][donor as usize];
+                            tree.predict_columns(&forest.columns, i as usize, Some((f, v)))
+                        })
+                        .collect();
+                    incs[f] = bf_mse(&preds, &obs) - base_mse;
+                }
+                incs
+            })
+            .collect()
+    }
+
+    /// `p` features, the response driven by features spread across the
+    /// whole index range so that with `p > 64` trees split on features
+    /// that share the top path bit.
+    fn wide_forest(p: usize, seed: u64, strategy: SplitStrategy) -> RandomForest {
+        let x: Vec<Vec<f64>> = (0..120)
+            .map(|i| {
+                (0..p)
+                    .map(|j| (((i + 3) * (j * 7 + 5)) % (11 + j % 13)) as f64 * 0.5)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| {
+                (0..p)
+                    .step_by(5)
+                    .map(|j| r[j] * (1.0 + (j % 3) as f64))
+                    .sum::<f64>()
+                    + (r[p - 1] * 0.7).sin() * 4.0
+            })
+            .collect();
+        let params = ForestParams::default()
+            .with_trees(30)
+            .with_seed(seed)
+            .with_split_strategy(strategy);
+        RandomForest::fit(&x, &y, &params).unwrap()
+    }
+
+    #[test]
+    fn path_skipping_matches_walking_every_oob_row() {
+        let (x, y) = graded_data(90);
+        let graded = RandomForest::fit(
+            &x,
+            &y,
+            &ForestParams::default().with_trees(40).with_seed(18),
+        )
+        .unwrap();
+        let forests = [
+            graded,
+            wide_forest(12, 1, SplitStrategy::Exact),
+            wide_forest(70, 2, SplitStrategy::Histogram { max_bins: 256 }),
+            wide_forest(70, 3, SplitStrategy::Exact),
+        ];
+        for forest in &forests {
+            let got = per_tree_increases(forest);
+            let want = reference_increases(forest);
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                let g: Vec<u64> = g.iter().map(|v| v.to_bits()).collect();
+                let w: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(g, w, "tree {t}");
+            }
+        }
+        // The wide forests really split on features sharing the top bit.
+        assert!(forests[2..].iter().all(|f| f.trees.iter().any(|t| t
+            .nodes()
+            .iter()
+            .any(|node| matches!(node, Node::Internal { feature, .. } if *feature >= 63)))));
+    }
 
     /// y depends strongly on x0, weakly on x1, not at all on x2.
     fn graded_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -191,7 +309,10 @@ mod tests {
             &ForestParams::default().with_trees(50).with_seed(17),
         )
         .unwrap();
-        assert!(f.trees.iter().all(|t| !t.split_features()[1]));
+        assert!(f.trees.iter().all(|t| t
+            .nodes()
+            .iter()
+            .all(|node| !matches!(node, Node::Internal { feature: 1, .. }))));
         let imp = f.permutation_importance();
         assert_eq!(imp.mean_increase_mse[1].to_bits(), 0.0f64.to_bits());
         assert_eq!(imp.sd_increase_mse[1].to_bits(), 0.0f64.to_bits());

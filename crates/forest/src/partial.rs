@@ -9,6 +9,7 @@
 //! positive correlation (e.g. `gst_request` for `reduce6`, Figure 4b).
 
 use crate::forest::RandomForest;
+use crate::tree::path_bit;
 use serde::{Deserialize, Serialize};
 
 /// A computed partial-dependence curve for one feature.
@@ -36,21 +37,43 @@ pub enum Trend {
     Flat,
 }
 
+/// Upper bound on the (leaf, path) entries [`PartialDependence::compute_many`]
+/// holds at once (16 bytes each): a larger forest is walked in row blocks.
+const PATH_TABLE_ENTRIES: usize = 1 << 20;
+
 impl PartialDependence {
     /// Computes the curve for `feature` on an evenly spaced grid of
     /// `grid_size` points spanning the feature's training range.
     pub fn compute(forest: &RandomForest, feature: usize, grid_size: usize) -> PartialDependence {
-        let col = &forest.training_columns()[feature];
-        let lo = col.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let grid: Vec<f64> = if grid_size <= 1 || lo == hi {
-            vec![lo]
-        } else {
-            (0..grid_size)
-                .map(|k| lo + (hi - lo) * k as f64 / (grid_size - 1) as f64)
-                .collect()
-        };
-        Self::on_grid(forest, feature, grid)
+        Self::compute_many(forest, &[feature], grid_size)
+            .pop()
+            .expect("one curve per feature")
+    }
+
+    /// [`Self::compute`] for each of `features`, in order, walking every
+    /// (row, tree) pair's natural path once for all of the curves.
+    pub fn compute_many(
+        forest: &RandomForest,
+        features: &[usize],
+        grid_size: usize,
+    ) -> Vec<PartialDependence> {
+        let curves = features
+            .iter()
+            .map(|&feature| {
+                let col = &forest.training_columns()[feature];
+                let lo = col.iter().cloned().fold(f64::INFINITY, f64::min);
+                let hi = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let grid: Vec<f64> = if grid_size <= 1 || lo == hi {
+                    vec![lo]
+                } else {
+                    (0..grid_size)
+                        .map(|k| lo + (hi - lo) * k as f64 / (grid_size - 1) as f64)
+                        .collect()
+                };
+                (feature, grid)
+            })
+            .collect();
+        Self::on_grids(forest, curves, Self::block_rows(forest))
     }
 
     /// Computes the curve on the feature's observed unique values (closer to
@@ -59,39 +82,78 @@ impl PartialDependence {
         let mut grid: Vec<f64> = forest.training_columns()[feature].clone();
         grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
         grid.dedup();
-        Self::on_grid(forest, feature, grid)
+        Self::on_grids(forest, vec![(feature, grid)], Self::block_rows(forest))
+            .pop()
+            .expect("one curve per feature")
     }
 
-    /// The curve on an ascending `grid`: the forest's mean prediction over
-    /// the training rows with `feature` set to each grid value.
+    /// Rows per block of [`Self::on_grids`], so that a block's (leaf, path)
+    /// table holds at most [`PATH_TABLE_ENTRIES`] entries.
+    fn block_rows(forest: &RandomForest) -> usize {
+        (PATH_TABLE_ENTRIES / forest.trees.len()).max(1)
+    }
+
+    /// The curve of each `(feature, grid)`, `grid` ascending: the forest's
+    /// mean prediction over the training rows with `feature` set to each
+    /// grid value.
     ///
-    /// Each (row, tree) pair is one walk that serves the whole grid (see
-    /// `RegressionTree::accumulate_grid`). `totals[k]` still receives its
-    /// leaf values rows outer, trees inner, and is divided by the same
-    /// `n * trees`, so every response is bit-identical to walking the forest
-    /// once per grid value.
-    fn on_grid(forest: &RandomForest, feature: usize, grid: Vec<f64>) -> PartialDependence {
+    /// Each (row, tree) pair is walked once along its natural path, which
+    /// gives its leaf value and the features the path splits on. A curve
+    /// whose feature is off that path gets the leaf value at every grid
+    /// point, since no override of it can change the walk; otherwise one
+    /// walk serves the whole grid (see `RegressionTree::accumulate_grid`).
+    /// `totals[k]` still receives its leaf values rows outer, trees inner,
+    /// and is divided by the same `n * trees`, so every response is
+    /// bit-identical to walking the forest once per grid value, whatever
+    /// `block` of rows each table covers. Each curve opens one span per
+    /// block.
+    fn on_grids(
+        forest: &RandomForest,
+        curves: Vec<(usize, Vec<f64>)>,
+        block: usize,
+    ) -> Vec<PartialDependence> {
         let columns = forest.training_columns();
+        let trees = &forest.trees;
         let n = forest.training_response().len();
-        let _span = bf_trace::span!(
-            "partial_dependence",
-            feature = feature,
-            grid = grid.len(),
-            rows = n
-        );
-        let mut totals = vec![0.0; grid.len()];
-        for i in 0..n {
-            for tree in &forest.trees {
-                tree.accumulate_grid(columns, i, feature, &grid, &mut totals);
+        let mut totals: Vec<Vec<f64>> = curves.iter().map(|(_, g)| vec![0.0; g.len()]).collect();
+        let mut paths: Vec<(f64, u64)> = Vec::with_capacity(block.min(n) * trees.len());
+        for start in (0..n).step_by(block) {
+            let rows = start..(start + block).min(n);
+            paths.clear();
+            for i in rows.clone() {
+                paths.extend(trees.iter().map(|tree| tree.leaf_and_path(columns, i)));
+            }
+            for ((feature, grid), acc) in curves.iter().zip(&mut totals) {
+                let _span = bf_trace::span!(
+                    "partial_dependence",
+                    feature = *feature,
+                    grid = grid.len(),
+                    rows = rows.len()
+                );
+                let bit = path_bit(*feature);
+                for (i, row_paths) in rows.clone().zip(paths.chunks(trees.len())) {
+                    for (tree, &(leaf, path)) in trees.iter().zip(row_paths) {
+                        if path & bit == 0 {
+                            for a in acc.iter_mut() {
+                                *a += leaf;
+                            }
+                        } else {
+                            tree.accumulate_grid(columns, i, *feature, grid, acc);
+                        }
+                    }
+                }
             }
         }
-        let count = n as f64 * forest.trees.len() as f64;
-        let response = totals.into_iter().map(|total| total / count).collect();
-        PartialDependence {
-            feature,
-            grid,
-            response,
-        }
+        let count = n as f64 * trees.len() as f64;
+        curves
+            .into_iter()
+            .zip(totals)
+            .map(|((feature, grid), totals)| PartialDependence {
+                feature,
+                grid,
+                response: totals.into_iter().map(|total| total / count).collect(),
+            })
+            .collect()
     }
 
     /// Classifies the curve's qualitative trend.
@@ -271,8 +333,71 @@ mod tests {
                 assert!(!grid.is_empty(), "no split on feature {feature}");
                 grid.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 grid.dedup();
-                let pd = PartialDependence::on_grid(&forest, feature, grid);
-                assert_matches_reference(&forest, &pd);
+                let pd = PartialDependence::on_grids(&forest, vec![(feature, grid)], 1 << 20);
+                assert_matches_reference(&forest, &pd[0]);
+            }
+        }
+    }
+
+    /// `p` features with the response spread across the whole index
+    /// range, so with `p > 64` trees split on features that share the top
+    /// path bit.
+    fn wide_forest(p: usize) -> RandomForest {
+        let x: Vec<Vec<f64>> = (0..80)
+            .map(|i| {
+                (0..p)
+                    .map(|j| (((i + 3) * (j * 7 + 5)) % (9 + j % 11)) as f64 * 0.25)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| {
+                (0..p)
+                    .step_by(4)
+                    .map(|j| r[j] * (1.5 + (j % 5) as f64))
+                    .sum()
+            })
+            .collect();
+        let params = ForestParams::default().with_trees(25).with_seed(35);
+        RandomForest::fit(&x, &y, &params).unwrap()
+    }
+
+    #[test]
+    fn compute_many_matches_per_value_reference_past_64_features() {
+        let forest = wide_forest(70);
+        let high: Vec<usize> = (63..70)
+            .filter(|&f| {
+                forest.trees.iter().any(|t| {
+                    t.nodes().iter().any(
+                        |node| matches!(node, Node::Internal { feature, .. } if *feature as usize == f),
+                    )
+                })
+            })
+            .collect();
+        assert!(high.len() >= 2, "too few splits past feature 63: {high:?}");
+        // Low and high features, one of them twice, and one past 63 the
+        // forest may never split on.
+        let mut features = vec![0, high[0], 5, high[1], 0, 69, 40];
+        features.extend(&high);
+        let many = PartialDependence::compute_many(&forest, &features, 9);
+        assert_eq!(many.len(), features.len());
+        for (pd, &feature) in many.iter().zip(&features) {
+            assert_eq!(pd.feature, feature);
+            assert_matches_reference(&forest, pd);
+            let one = PartialDependence::compute(&forest, feature, 9);
+            assert_eq!(one.grid, pd.grid);
+            assert_eq!(one.response, pd.response);
+        }
+        // Row blocks smaller than the training set change no bit either.
+        let curves: Vec<(usize, Vec<f64>)> = many
+            .iter()
+            .map(|pd| (pd.feature, pd.grid.clone()))
+            .collect();
+        for block in [1, 7, 79, 80] {
+            let blocked = PartialDependence::on_grids(&forest, curves.clone(), block);
+            for (b, pd) in blocked.iter().zip(&many) {
+                assert_eq!(b.response, pd.response, "block {block}");
             }
         }
     }

@@ -277,6 +277,36 @@ impl RegressionTree {
         }
     }
 
+    /// The leaf value for sample `i` of column-major data, plus the
+    /// [`path_bit`]s of every feature split on along its path.
+    ///
+    /// Overriding a feature whose bit is absent from the mask cannot change
+    /// the walk, so [`Self::predict_columns`] with that override returns
+    /// the same leaf value.
+    pub(crate) fn leaf_and_path(&self, columns: &[Vec<f64>], i: usize) -> (f64, u64) {
+        let mut path = 0u64;
+        let mut at = 0usize;
+        loop {
+            match &self.nodes[at] {
+                Node::Leaf { value, .. } => return (*value, path),
+                Node::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    let f = *feature as usize;
+                    path |= path_bit(f);
+                    at = if columns[f][i] <= *threshold {
+                        *left as usize
+                    } else {
+                        *right as usize
+                    };
+                }
+            }
+        }
+    }
+
     /// Adds to `acc[k]` the prediction for sample `i` of column-major data
     /// with `feature` overridden to `grid[k]`, for every `k` in one walk.
     ///
@@ -347,17 +377,6 @@ impl RegressionTree {
         }
     }
 
-    /// Which features the tree splits on, indexed by feature.
-    pub(crate) fn split_features(&self) -> Vec<bool> {
-        let mut used = vec![false; self.n_features];
-        for node in &self.nodes {
-            if let Node::Internal { feature, .. } = node {
-                used[*feature as usize] = true;
-            }
-        }
-        used
-    }
-
     /// Borrow the node arena (used by the level-order batch layout in
     /// [`crate::flat`]).
     pub(crate) fn nodes(&self) -> &[Node] {
@@ -394,6 +413,13 @@ impl RegressionTree {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// A feature's bit in a path mask from [`RegressionTree::leaf_and_path`].
+/// Features 63 and above share the top bit, so a mask that has it may or
+/// may not contain a given such feature, and only a full walk can tell.
+pub(crate) fn path_bit(feature: usize) -> u64 {
+    1 << feature.min(63)
 }
 
 /// Transposes row-major observations into column-major storage, the layout
