@@ -46,7 +46,7 @@ fn main() {
             &ForestParams::default().with_trees(trees).with_seed(1),
         )
         .expect("forest fit")
-        .predict(&test.rows)
+        .predict_batch(&test.rows)
         .expect("forest predict")
     };
     let mut basis = vec![Basis::Intercept];

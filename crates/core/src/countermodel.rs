@@ -66,6 +66,33 @@ impl CounterModel {
         }
     }
 
+    /// The shortest characteristic vector [`Self::predict`] can read:
+    /// one past the largest characteristic index the fit reads.
+    pub fn input_width(&self) -> usize {
+        let last = match &self.fit {
+            CounterFit::Identity { index } => Some(*index),
+            CounterFit::Glm(m) => m
+                .basis
+                .iter()
+                .flat_map(|b| match *b {
+                    Basis::Intercept => [None, None],
+                    Basis::Power { feature, .. } | Basis::Log { feature, .. } => {
+                        [Some(feature), None]
+                    }
+                    Basis::Interaction { a, b } => [Some(a), Some(b)],
+                })
+                .flatten()
+                .max(),
+            CounterFit::Mars(m) => m
+                .basis
+                .iter()
+                .flat_map(|b| &b.hinges)
+                .map(|h| h.feature)
+                .max(),
+        };
+        last.map_or(0, |i| i.saturating_add(1))
+    }
+
     /// Short description of the model family used.
     pub fn family(&self) -> &'static str {
         match &self.fit {
@@ -308,6 +335,25 @@ mod tests {
         .unwrap();
         assert_eq!(set.models[0].family(), "identity");
         assert_eq!(set.models[0].predict(&[123.0]), 123.0);
+    }
+
+    #[test]
+    fn input_width_is_one_past_the_last_characteristic_read() {
+        let ds = synthetic();
+        let chars = ["size".to_string(), "noisy".to_string()];
+        let selected = ["size".into(), "noisy".into(), "quadratic".into()];
+        let glm = CounterModelSet::fit(&ds, &selected, &chars, ModelStrategy::Glm).unwrap();
+        let widths: Vec<usize> = glm.models.iter().map(|m| m.input_width()).collect();
+        assert_eq!(widths, [1, 2, 2], "identity 0, identity 1, GLM over both");
+        let mars =
+            CounterModelSet::fit(&ds, &["kinked".into()], &chars, ModelStrategy::Mars).unwrap();
+        assert!((1..=2).contains(&mars.models[0].input_width()));
+        let mut constant = mars.models[0].clone();
+        let CounterFit::Mars(m) = &mut constant.fit else {
+            unreachable!("fitted as MARS")
+        };
+        m.basis.truncate(1);
+        assert_eq!(constant.input_width(), 0, "the intercept reads nothing");
     }
 
     #[test]

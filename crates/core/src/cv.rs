@@ -76,7 +76,7 @@ pub fn kfold_forest(
         let forest = RandomForest::fit(&train_x, &train_y, params)
             .map_err(|e| BfError::Fit(e.to_string()))?;
         let preds = forest
-            .predict(&test_x)
+            .predict_batch(&test_x)
             .map_err(|e| BfError::Fit(e.to_string()))?;
         fold_r_squared.push(stats::r_squared(&preds, &test_y));
         fold_mse.push(stats::mse(&preds, &test_y));

@@ -133,7 +133,7 @@ pub struct BlackForestModel {
 
 fn validate(forest: &RandomForest, test: &Dataset) -> Result<ValidationMetrics> {
     let preds = forest
-        .predict(&test.rows)
+        .predict_batch(&test.rows)
         .map_err(|e| BfError::Fit(e.to_string()))?;
     let (oob_mse, oob_r_squared) = forest.oob_errors();
     Ok(ValidationMetrics {
@@ -259,15 +259,6 @@ impl BlackForestModel {
             .predict_row(row)
             .map_err(|e| BfError::Fit(e.to_string()))
     }
-
-    /// Predicts execution time from the *selected* features only, in
-    /// `self.selected` order — the entry point used by the counter-model
-    /// prediction chain.
-    pub fn predict_selected(&self, row: &[f64]) -> Result<f64> {
-        self.reduced_forest
-            .predict_row(row)
-            .map_err(|e| BfError::Fit(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -350,14 +341,5 @@ mod tests {
         let m = BlackForestModel::fit(&data, &ModelConfig::quick(6)).unwrap();
         let pd = m.partial_dependence("size", 12).unwrap();
         assert!(pd.correlation() > 0.8, "corr = {}", pd.correlation());
-    }
-
-    #[test]
-    fn predict_selected_accepts_reduced_rows() {
-        let data = matmul_dataset();
-        let m = BlackForestModel::fit(&data, &ModelConfig::quick(7)).unwrap();
-        let sel = data.select(&m.selected).unwrap();
-        let p = m.predict_selected(&sel.rows[3]).unwrap();
-        assert!(p.is_finite() && p >= 0.0);
     }
 }

@@ -15,7 +15,7 @@ use crate::countermodel::{CounterModelSet, ModelStrategy};
 use crate::dataset::Dataset;
 use crate::model::{BlackForestModel, ModelConfig};
 use crate::{BfError, Result};
-use bf_forest::{FlatForest, ForestParams, RandomForest};
+use bf_forest::{ForestParams, RandomForest};
 use bf_linalg::stats;
 use serde::{Deserialize, Serialize};
 
@@ -92,7 +92,7 @@ impl ProblemScalingPredictor {
 
     /// Predicts execution time from problem characteristics alone.
     pub fn predict(&self, characteristics: &[f64]) -> Result<f64> {
-        Ok(self.predict_rows(&[characteristics], &[], None)?[0].predicted_ms)
+        Ok(self.predict_rows(&[characteristics], &[])?[0].predicted_ms)
     }
 
     /// The prediction chain, for a batch of characteristic rows. Every
@@ -103,16 +103,14 @@ impl ProblemScalingPredictor {
     /// 3. any counter named in `overrides` takes the supplied value (names
     ///    the reduced forest did not retain are ignored — they cannot
     ///    influence the prediction by construction);
-    /// 4. the reduced forest prices every row in one pass, through `flat`
-    ///    (the caller's compiled copy of `model.reduced_forest`) when given,
-    ///    else by walking the arena forest row by row — bit-identical;
+    /// 4. the reduced forest prices every row in one pass per tree
+    ///    ([`RandomForest::predict_batch`]);
     /// 5. each row's counter names are paired with the values that fed the
     ///    forest.
     pub fn predict_rows<R: AsRef<[f64]>>(
         &self,
         rows: &[R],
         overrides: &[(String, f64)],
-        flat: Option<&FlatForest>,
     ) -> Result<Vec<Prediction>> {
         let want = self.counters.characteristics.len();
         if let Some(bad) = rows.iter().find(|r| r.as_ref().len() != want) {
@@ -140,15 +138,11 @@ impl ProblemScalingPredictor {
                 values
             })
             .collect();
-        let times = match flat {
-            Some(flat) => flat
-                .predict_batch(&counter_rows)
-                .map_err(|e| BfError::Fit(e.to_string()))?,
-            None => counter_rows
-                .iter()
-                .map(|row| self.model.predict_selected(row))
-                .collect::<Result<_>>()?,
-        };
+        let times = self
+            .model
+            .reduced_forest
+            .predict_batch(&counter_rows)
+            .map_err(|e| BfError::Fit(e.to_string()))?;
         Ok(counter_rows
             .into_iter()
             .zip(times)
@@ -185,7 +179,7 @@ impl ProblemScalingPredictor {
             .iter()
             .map(|row| char_idx.iter().map(|&j| row[j]).collect())
             .collect();
-        let predictions = self.predict_rows(&chars, &[], None)?;
+        let predictions = self.predict_rows(&chars, &[])?;
         let mut points: Vec<PredictionPoint> = chars
             .into_iter()
             .zip(predictions)
@@ -459,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_rows_is_bit_identical_through_either_forest_walk() {
+    fn predict_rows_batch_matches_single_row_predictions() {
         let data = mm_dataset(&GpuConfig::gtx580(), false);
         let p = ProblemScalingPredictor::fit(
             &data,
@@ -472,20 +466,16 @@ mod tests {
             .iter()
             .map(|&s| vec![s])
             .collect();
-        let flat = FlatForest::from_forest(&p.model.reduced_forest);
-        let arena = p.predict_rows(&queries, &[], None).unwrap();
-        let compiled = p.predict_rows(&queries, &[], Some(&flat)).unwrap();
-        assert_eq!(arena.len(), queries.len());
-        for ((q, a), c) in queries.iter().zip(&arena).zip(&compiled) {
+        let batch = p.predict_rows(&queries, &[]).unwrap();
+        assert_eq!(batch.len(), queries.len());
+        for (q, a) in queries.iter().zip(&batch) {
             assert_eq!(p.predict(q).unwrap().to_bits(), a.predicted_ms.to_bits());
-            assert_eq!(a.predicted_ms.to_bits(), c.predicted_ms.to_bits());
-            assert_eq!(a.counters, c.counters);
             let names: Vec<&str> = a.counters.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(names, p.model.selected);
         }
         // Arity errors surface for any bad row in the batch.
         let err = p
-            .predict_rows(&[vec![1.0], vec![1.0, 2.0]], &[], Some(&flat))
+            .predict_rows(&[vec![1.0], vec![1.0, 2.0]], &[])
             .unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -503,10 +493,10 @@ mod tests {
             ModelStrategy::Glm,
         )
         .unwrap();
-        let base = p.predict_rows(&[[160.0]], &[], None).unwrap().remove(0);
+        let base = p.predict_rows(&[[160.0]], &[]).unwrap().remove(0);
         let (name, _) = base.counters[0].clone();
         let pinned = vec![(name.clone(), 1e9), ("not_retained".into(), -1.0)];
-        let got = p.predict_rows(&[[160.0]], &pinned, None).unwrap().remove(0);
+        let got = p.predict_rows(&[[160.0]], &pinned).unwrap().remove(0);
         assert_eq!(got.counters[0], (name, 1e9));
         assert_eq!(got.counters[1..], base.counters[1..]);
     }

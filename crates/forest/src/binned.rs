@@ -33,7 +33,7 @@
 //! quantile approximations, which is the usual accuracy/speed trade.
 
 use crate::split::Split;
-use crate::tree::{Node, RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, TreeParams};
 use rand::prelude::*;
 
 /// Hard ceiling on `max_bins` (bin codes are stored as `u16`).
@@ -412,8 +412,7 @@ pub(crate) fn fit_binned_on_indices(
 ) -> RegressionTree {
     let n_features = binned.n_features();
     let mtry = params.mtry.min(n_features).max(1);
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut impurity = vec![0.0; n_features];
+    let mut tree = RegressionTree::with_root(n_features);
     let mut indices: Vec<u32> = idx.to_vec();
     let mut feature_pool: Vec<usize> = (0..n_features).collect();
 
@@ -424,10 +423,6 @@ pub(crate) fn fit_binned_on_indices(
     // Subtraction beats a rescan only when the node dwarfs its bin count.
     let cache_min_rows = 2 * binned.max_bins;
 
-    nodes.push(Node::Leaf {
-        value: 0.0,
-        count: 0,
-    }); // placeholder root
     let mut stack = vec![BinnedBuildItem {
         start: 0,
         end: indices.len(),
@@ -483,14 +478,8 @@ pub(crate) fn fit_binned_on_indices(
         }
 
         match chosen {
-            None => {
-                nodes[item.slot] = Node::Leaf {
-                    value: mean,
-                    count: n as u32,
-                };
-            }
+            None => tree.set_leaf(item.slot, mean, n),
             Some((split, split_bin)) => {
-                impurity[split.feature] += split.improvement;
                 let boundary = item.start
                     + partition_codes(
                         binned.feature_codes(split.feature),
@@ -498,22 +487,7 @@ pub(crate) fn fit_binned_on_indices(
                         &mut indices[item.start..item.end],
                     );
                 debug_assert!(boundary > item.start && boundary < item.end);
-                let left_slot = nodes.len();
-                let right_slot = nodes.len() + 1;
-                nodes.push(Node::Leaf {
-                    value: 0.0,
-                    count: 0,
-                });
-                nodes.push(Node::Leaf {
-                    value: 0.0,
-                    count: 0,
-                });
-                nodes[item.slot] = Node::Internal {
-                    feature: split.feature as u32,
-                    threshold: split.threshold,
-                    left: left_slot as u32,
-                    right: right_slot as u32,
-                };
+                let left = tree.split(item.slot, split.feature, split.threshold, split.improvement);
                 // Park this node's histograms for its children: the right
                 // child (popped next) subtracts itself out, the left child
                 // then reads its histograms without touching the rows.
@@ -528,7 +502,7 @@ pub(crate) fn fit_binned_on_indices(
                     start: item.start,
                     end: boundary,
                     depth: item.depth + 1,
-                    slot: left_slot,
+                    slot: left,
                     use_cache: child_entry,
                     fill_cache: None,
                 });
@@ -536,7 +510,7 @@ pub(crate) fn fit_binned_on_indices(
                     start: boundary,
                     end: item.end,
                     depth: item.depth + 1,
-                    slot: right_slot,
+                    slot: left + 1,
                     use_cache: None,
                     fill_cache: child_entry,
                 });
@@ -552,7 +526,7 @@ pub(crate) fn fit_binned_on_indices(
         }
     }
 
-    RegressionTree::from_parts(nodes, n_features, impurity)
+    tree
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::{ForestError, Result};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// How candidate splits are searched at each tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,7 +101,7 @@ impl ForestParams {
 /// A fitted random-forest regressor, retaining the training data (column
 /// major) so OOB statistics, importance, and partial dependence can be
 /// computed after the fact — the same data the R object keeps around.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RandomForest {
     pub(crate) trees: Vec<RegressionTree>,
     /// For each tree, the sorted list of OOB sample indices.
@@ -223,19 +223,31 @@ impl RandomForest {
 
     /// Predicts the response for one feature row (average over all trees).
     pub fn predict_row(&self, row: &[f64]) -> Result<f64> {
-        if row.len() != self.n_features {
-            return Err(ForestError::BadQuery {
-                expected: self.n_features,
-                got: row.len(),
-            });
-        }
-        let sum: f64 = self.trees.iter().map(|t| t.predict_row(row)).sum();
-        Ok(sum / self.trees.len() as f64)
+        Ok(self.predict_batch(&[row])?[0])
     }
 
-    /// Predicts a batch of rows.
-    pub fn predict(&self, rows: &[Vec<f64>]) -> Result<Vec<f64>> {
-        rows.iter().map(|r| self.predict_row(r)).collect()
+    /// Predicts a batch of rows with one pass per tree over the whole
+    /// batch, so each tree's arrays stay in cache across the rows. Every row
+    /// adds its trees' values in tree order and divides last, so a row's
+    /// answer does not depend on the batch it came in.
+    pub fn predict_batch<R: AsRef<[f64]>>(&self, rows: &[R]) -> Result<Vec<f64>> {
+        if let Some(row) = rows.iter().find(|r| r.as_ref().len() != self.n_features) {
+            return Err(ForestError::BadQuery {
+                expected: self.n_features,
+                got: row.as_ref().len(),
+            });
+        }
+        let mut acc = vec![0.0; rows.len()];
+        for tree in &self.trees {
+            for (row, a) in rows.iter().zip(&mut acc) {
+                *a += tree.predict_row(row.as_ref());
+            }
+        }
+        let n = self.trees.len() as f64;
+        for a in &mut acc {
+            *a /= n;
+        }
+        Ok(acc)
     }
 
     /// Out-of-bag prediction for every training sample. Samples that were
@@ -344,6 +356,45 @@ impl RandomForest {
     /// Borrow the column-major training features.
     pub fn training_columns(&self) -> &[Vec<f64>] {
         &self.columns
+    }
+}
+
+/// Read field by field as the derive would, then checked: a forest must have
+/// trees, and each tree as many features as the forest, so no query row the
+/// forest accepts can index past a tree's splits. Each tree checks its own
+/// nodes.
+impl Deserialize for RandomForest {
+    fn deserialize_value(v: &Value) -> std::result::Result<Self, Error> {
+        let trees: Vec<RegressionTree> = match v.field("trees") {
+            Value::Seq(items) => items
+                .iter()
+                .enumerate()
+                .map(|(t, item)| {
+                    RegressionTree::deserialize_value(item)
+                        .map_err(|e| Error(format!("tree {t}: {e}")))
+                })
+                .collect::<std::result::Result<_, _>>()?,
+            other => return Err(Error(format!("expected array of trees, found {other:?}"))),
+        };
+        let n_features = usize::deserialize_value(v.field("n_features"))?;
+        if trees.is_empty() {
+            return Err(Error::msg("forest has no trees"));
+        }
+        if let Some(t) = trees.iter().position(|t| t.n_features() != n_features) {
+            return Err(Error(format!(
+                "tree {t} has {} features, its forest {n_features}",
+                trees[t].n_features()
+            )));
+        }
+        Ok(RandomForest {
+            trees,
+            oob_indices: Deserialize::deserialize_value(v.field("oob_indices"))?,
+            columns: Deserialize::deserialize_value(v.field("columns"))?,
+            y: Deserialize::deserialize_value(v.field("y"))?,
+            params: Deserialize::deserialize_value(v.field("params"))?,
+            n_features,
+            tree_seeds: Deserialize::deserialize_value(v.field("tree_seeds"))?,
+        })
     }
 }
 
@@ -512,6 +563,53 @@ mod tests {
                 got: 1
             })
         ));
+        // A bad row after a good one still fails the whole batch.
+        assert!(matches!(
+            f.predict_batch(&[vec![1.0, 2.0], vec![1.0]]),
+            Err(ForestError::BadQuery {
+                expected: 2,
+                got: 1
+            })
+        ));
+        assert!(f.predict_batch(&Vec::<Vec<f64>>::new()).unwrap().is_empty());
+    }
+
+    /// `forest`'s serialized value with field `key` replaced by `value`.
+    fn with_field(forest: &RandomForest, key: &str, value: Value) -> Value {
+        let Value::Map(mut fields) = forest.serialize_value() else {
+            unreachable!("a forest serializes as a map")
+        };
+        fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+        Value::Map(fields)
+    }
+
+    #[test]
+    fn decoded_forest_round_trips_and_rejects_bad_shapes() {
+        let (x, y) = make_linear(30);
+        let f = RandomForest::fit(&x, &y, &ForestParams::default().with_trees(4)).unwrap();
+        let back = RandomForest::deserialize_value(&f.serialize_value()).unwrap();
+        assert_eq!(back.trees(), f.trees());
+
+        let no_trees = with_field(&f, "trees", Value::Seq(Vec::new()));
+        let err = RandomForest::deserialize_value(&no_trees).unwrap_err();
+        assert_eq!(err.to_string(), "forest has no trees");
+
+        // Trees of two features under a forest of one: a one-feature query
+        // row would index past them.
+        let narrow = with_field(&f, "n_features", Value::U64(1));
+        let err = RandomForest::deserialize_value(&narrow).unwrap_err();
+        assert_eq!(err.to_string(), "tree 0 has 2 features, its forest 1");
+
+        // A tree's own error names the tree.
+        let mut trees = f.trees.clone();
+        trees[2].left[0] = 0;
+        let cyclic = with_field(&f, "trees", trees.serialize_value());
+        let err = RandomForest::deserialize_value(&cyclic).unwrap_err();
+        assert!(
+            err.to_string()
+                .starts_with("tree 2: node 0: children 0 and 1"),
+            "{err}"
+        );
     }
 
     #[test]

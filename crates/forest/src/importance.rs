@@ -177,7 +177,7 @@ fn per_tree_increases(forest: &RandomForest) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Node;
+    use crate::tree::LEAF;
     use crate::{ForestParams, SplitStrategy};
 
     /// The reference: every OOB row walked again for every permuted
@@ -275,10 +275,10 @@ mod tests {
             }
         }
         // The wide forests really split on features sharing the top bit.
-        assert!(forests[2..].iter().all(|f| f.trees.iter().any(|t| t
-            .nodes()
+        assert!(forests[2..].iter().all(|forest| forest
+            .trees
             .iter()
-            .any(|node| matches!(node, Node::Internal { feature, .. } if *feature >= 63)))));
+            .any(|t| t.feature.iter().any(|&f| f != LEAF && f >= 63))));
     }
 
     /// y depends strongly on x0, weakly on x1, not at all on x2.
@@ -309,10 +309,7 @@ mod tests {
             &ForestParams::default().with_trees(50).with_seed(17),
         )
         .unwrap();
-        assert!(f.trees.iter().all(|t| t
-            .nodes()
-            .iter()
-            .all(|node| !matches!(node, Node::Internal { feature: 1, .. }))));
+        assert!(f.trees.iter().all(|t| !t.feature.contains(&1)));
         let imp = f.permutation_importance();
         assert_eq!(imp.mean_increase_mse[1].to_bits(), 0.0f64.to_bits());
         assert_eq!(imp.sd_increase_mse[1].to_bits(), 0.0f64.to_bits());

@@ -10,6 +10,15 @@
 //! * **partial dependence** (the marginal effect of one predictor on the
 //!   average prediction).
 //!
+//! A fitted tree has one layout, which every walk reads: parallel
+//! `feature` / `threshold` / `left` arrays in the order the builder grew the
+//! nodes, with each split's right child at `left + 1` (see [`tree`]).
+//! Prediction ([`RandomForest::predict_batch`] runs one pass per tree over a
+//! batch), out-of-bag error, importance and partial dependence all descend
+//! those arrays. Serialized forests keep the `Internal`/`Leaf` node-list
+//! JSON, and decoding refuses a tree whose walks could loop or index out of
+//! bounds.
+//!
 //! The API mirrors how the paper uses R:
 //!
 //! ```
@@ -32,15 +41,15 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod binned;
-pub mod flat;
 pub mod forest;
 pub mod importance;
 pub mod partial;
+#[cfg(test)]
+mod reference;
 pub mod split;
 pub mod tree;
 
 pub use binned::BinnedDataset;
-pub use flat::FlatForest;
 pub use forest::{ForestParams, RandomForest, SplitStrategy};
 pub use importance::VariableImportance;
 pub use partial::PartialDependence;

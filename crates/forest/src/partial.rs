@@ -226,7 +226,6 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::Node;
     use crate::{ForestParams, RandomForest, SplitStrategy};
 
     /// The reference: one full forest walk per (grid value, row, tree).
@@ -319,15 +318,9 @@ mod tests {
                 let mut grid: Vec<f64> = forest
                     .trees
                     .iter()
-                    .flat_map(|t| t.nodes().iter())
-                    .filter_map(|node| match node {
-                        Node::Internal {
-                            feature: f,
-                            threshold,
-                            ..
-                        } if *f as usize == feature => Some(*threshold),
-                        _ => None,
-                    })
+                    .flat_map(|t| t.feature.iter().zip(&t.threshold))
+                    .filter(|&(&f, _)| f as usize == feature)
+                    .map(|(_, &threshold)| threshold)
                     .flat_map(|t| [t.next_down(), t, t.next_up()])
                     .collect();
                 assert!(!grid.is_empty(), "no split on feature {feature}");
@@ -367,13 +360,7 @@ mod tests {
     fn compute_many_matches_per_value_reference_past_64_features() {
         let forest = wide_forest(70);
         let high: Vec<usize> = (63..70)
-            .filter(|&f| {
-                forest.trees.iter().any(|t| {
-                    t.nodes().iter().any(
-                        |node| matches!(node, Node::Internal { feature, .. } if *feature as usize == f),
-                    )
-                })
-            })
+            .filter(|&f| forest.trees.iter().any(|t| t.feature.contains(&(f as u32))))
             .collect();
         assert!(high.len() >= 2, "too few splits past feature 63: {high:?}");
         // Low and high features, one of them twice, and one past 63 the

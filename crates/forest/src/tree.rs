@@ -5,26 +5,64 @@
 //! node size (default 5), **unpruned** — the forest's averaging supplies the
 //! variance reduction that pruning would otherwise have to.
 //!
-//! Storage is a flat arena of nodes (no boxes, no recursion on drop), which
-//! keeps trees compact and prediction cache-friendly.
+//! A tree is three parallel arrays with one slot per node, in the order the
+//! builder creates the nodes (the root first, and each split's two children
+//! appended together, so they sit in adjacent slots after their parent):
+//!
+//! * `feature[i]` — the splitting variable, or [`LEAF`] for a terminal;
+//! * `threshold[i]` — the split point, or a terminal's value;
+//! * `left[i]` — the left child's slot (the right child is `left[i] + 1`),
+//!   or the number of training samples in a terminal's region.
+//!
+//! This is the only layout after fitting: prediction, out-of-bag error,
+//! permutation importance and partial dependence all descend the same
+//! arrays. A step is `next = left + (value goes right)`, with no enum match
+//! and no load of a right index. Routing is written `!(x <= threshold)`, so
+//! NaN goes right.
+//!
+//! Bundles store a tree as a list of `Internal`/`Leaf` nodes (see
+//! `Node`). Reading one refuses a malformed tree — no nodes, a child out
+//! of range or not after its parent, a right child that is not `left + 1`,
+//! or a split on a feature the tree does not have — since a cycle would
+//! make every walk loop forever and a bad index would panic it.
 
 use crate::split::{best_split_on_feature, partition_indices, SplitScratch};
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
-/// One node in the flat tree arena.
+/// Sentinel in `feature[]` marking a terminal node.
+pub(crate) const LEAF: u32 = u32::MAX;
+
+/// A fitted regression tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RegressionTree {
+    /// Splitting variable per node; [`LEAF`] for terminals.
+    pub(crate) feature: Vec<u32>,
+    /// Split point per internal node; the value of a terminal.
+    pub(crate) threshold: Vec<f64>,
+    /// Left-child slot per internal node (the right child is `left + 1`);
+    /// the training-sample count of a terminal.
+    pub(crate) left: Vec<u32>,
+    n_features: usize,
+    /// Per-feature total sum-of-squares improvement contributed by splits on
+    /// that feature (impurity importance).
+    pub(crate) impurity_importance: Vec<f64>,
+}
+
+/// One node as bundles store it: the JSON shape trees have always been
+/// written in, so bundle bytes do not depend on the in-memory layout.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Node {
+pub(crate) enum Node {
     /// Internal node: route to `left` if `x[feature] <= threshold`, else to
-    /// `left + 1`'s sibling stored in `right`.
+    /// `right`.
     Internal {
         /// Splitting variable.
         feature: u32,
         /// Split point.
         threshold: f64,
-        /// Arena index of the left child.
+        /// Index of the left child.
         left: u32,
-        /// Arena index of the right child.
+        /// Index of the right child.
         right: u32,
     },
     /// Terminal node carrying the constant prediction (mean of its region).
@@ -34,16 +72,6 @@ pub enum Node {
         /// Number of training samples in the region.
         count: u32,
     },
-}
-
-/// A fitted regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegressionTree {
-    nodes: Vec<Node>,
-    n_features: usize,
-    /// Per-feature total sum-of-squares improvement contributed by splits on
-    /// that feature (impurity importance).
-    pub(crate) impurity_importance: Vec<f64>,
 }
 
 /// Tree-growing parameters (shared with the forest).
@@ -73,23 +101,48 @@ struct BuildItem {
     start: usize,
     end: usize,
     depth: usize,
-    /// Arena slot to fill in with this node.
+    /// Slot to fill in with this node.
     slot: usize,
 }
 
 impl RegressionTree {
-    /// Assembles a tree from a finished node arena (used by the histogram
-    /// builder in [`crate::binned`], which shares this storage format).
-    pub(crate) fn from_parts(
-        nodes: Vec<Node>,
-        n_features: usize,
-        impurity_importance: Vec<f64>,
-    ) -> RegressionTree {
+    /// A tree of one placeholder leaf, the root, which a builder then fills
+    /// with [`Self::set_leaf`] or [`Self::split`].
+    pub(crate) fn with_root(n_features: usize) -> RegressionTree {
         RegressionTree {
-            nodes,
+            feature: vec![LEAF],
+            threshold: vec![0.0],
+            left: vec![0],
             n_features,
-            impurity_importance,
+            impurity_importance: vec![0.0; n_features],
         }
+    }
+
+    /// Makes `slot` a terminal with `value` over `count` training samples.
+    pub(crate) fn set_leaf(&mut self, slot: usize, value: f64, count: usize) {
+        self.threshold[slot] = value;
+        self.left[slot] = count as u32;
+    }
+
+    /// Makes `slot` a split on `feature` at `threshold`, credits
+    /// `improvement` to the feature's impurity importance, and appends the
+    /// two children as placeholder leaves. Returns the left child's slot.
+    pub(crate) fn split(
+        &mut self,
+        slot: usize,
+        feature: usize,
+        threshold: f64,
+        improvement: f64,
+    ) -> usize {
+        let left = self.feature.len();
+        self.feature[slot] = feature as u32;
+        self.threshold[slot] = threshold;
+        self.left[slot] = left as u32;
+        self.impurity_importance[feature] += improvement;
+        self.feature.extend([LEAF, LEAF]);
+        self.threshold.extend([0.0, 0.0]);
+        self.left.extend([0, 0]);
+        left
     }
 
     /// Fits a tree on the samples selected by `idx` (indices into the
@@ -106,16 +159,11 @@ impl RegressionTree {
     ) -> RegressionTree {
         let n_features = columns.len();
         let mtry = params.mtry.min(n_features).max(1);
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut impurity = vec![0.0; n_features];
+        let mut tree = RegressionTree::with_root(n_features);
         let mut indices: Vec<u32> = idx.to_vec();
         let mut scratch = SplitScratch::default();
         let mut feature_pool: Vec<usize> = (0..n_features).collect();
 
-        nodes.push(Node::Leaf {
-            value: 0.0,
-            count: 0,
-        }); // placeholder root
         let mut stack = vec![BuildItem {
             start: 0,
             end: indices.len(),
@@ -159,14 +207,8 @@ impl RegressionTree {
             }
 
             match chosen {
-                None => {
-                    nodes[item.slot] = Node::Leaf {
-                        value: mean,
-                        count: n as u32,
-                    };
-                }
+                None => tree.set_leaf(item.slot, mean, n),
                 Some(split) => {
-                    impurity[split.feature] += split.improvement;
                     let boundary = item.start
                         + partition_indices(
                             &columns[split.feature],
@@ -174,43 +216,24 @@ impl RegressionTree {
                             &mut indices[item.start..item.end],
                         );
                     debug_assert!(boundary > item.start && boundary < item.end);
-                    let left_slot = nodes.len();
-                    let right_slot = nodes.len() + 1;
-                    nodes.push(Node::Leaf {
-                        value: 0.0,
-                        count: 0,
-                    });
-                    nodes.push(Node::Leaf {
-                        value: 0.0,
-                        count: 0,
-                    });
-                    nodes[item.slot] = Node::Internal {
-                        feature: split.feature as u32,
-                        threshold: split.threshold,
-                        left: left_slot as u32,
-                        right: right_slot as u32,
-                    };
+                    let left =
+                        tree.split(item.slot, split.feature, split.threshold, split.improvement);
                     stack.push(BuildItem {
                         start: item.start,
                         end: boundary,
                         depth: item.depth + 1,
-                        slot: left_slot,
+                        slot: left,
                     });
                     stack.push(BuildItem {
                         start: boundary,
                         end: item.end,
                         depth: item.depth + 1,
-                        slot: right_slot,
+                        slot: left + 1,
                     });
                 }
             }
         }
-
-        RegressionTree {
-            nodes,
-            n_features,
-            impurity_importance: impurity,
-        }
+        tree
     }
 
     /// Convenience fit over the full training set (row-major input).
@@ -220,27 +243,31 @@ impl RegressionTree {
         Self::fit_on_indices(&columns, y, &idx, params, rng)
     }
 
+    /// The slot reached from split `at` when its feature reads `x`.
+    #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must route right
+    fn child(&self, at: usize, x: f64) -> usize {
+        self.left[at] as usize + !(x <= self.threshold[at]) as usize
+    }
+
+    /// The leaf slot a walk from the root reaches when each split on
+    /// feature `f` reads `value(f)`.
+    #[inline]
+    fn descend(&self, mut value: impl FnMut(usize) -> f64) -> usize {
+        let mut at = 0;
+        loop {
+            let f = self.feature[at];
+            if f == LEAF {
+                return at;
+            }
+            at = self.child(at, value(f as usize));
+        }
+    }
+
     /// Predicts the response for a single feature row.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(row.len(), self.n_features);
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { value, .. } => return *value,
-                Node::Internal {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    at = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        self.threshold[self.descend(|f| row[f])]
     }
 
     /// Predicts for sample `i` of column-major data, optionally overriding
@@ -252,29 +279,10 @@ impl RegressionTree {
         i: usize,
         override_feature: Option<(usize, f64)>,
     ) -> f64 {
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { value, .. } => return *value,
-                Node::Internal {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let f = *feature as usize;
-                    let v = match override_feature {
-                        Some((of, ov)) if of == f => ov,
-                        _ => columns[f][i],
-                    };
-                    at = if v <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        self.threshold[self.descend(|f| match override_feature {
+            Some((of, ov)) if of == f => ov,
+            _ => columns[f][i],
+        })]
     }
 
     /// The leaf value for sample `i` of column-major data, plus the
@@ -285,26 +293,11 @@ impl RegressionTree {
     /// the same leaf value.
     pub(crate) fn leaf_and_path(&self, columns: &[Vec<f64>], i: usize) -> (f64, u64) {
         let mut path = 0u64;
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { value, .. } => return (*value, path),
-                Node::Internal {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let f = *feature as usize;
-                    path |= path_bit(f);
-                    at = if columns[f][i] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        let leaf = self.descend(|f| {
+            path |= path_bit(f);
+            columns[f][i]
+        });
+        (self.threshold[leaf], path)
     }
 
     /// Adds to `acc[k]` the prediction for sample `i` of column-major data
@@ -337,81 +330,153 @@ impl RegressionTree {
         mut acc: &mut [f64],
     ) {
         while !grid.is_empty() {
-            match &self.nodes[at] {
-                Node::Leaf { value, .. } => {
-                    for a in acc.iter_mut() {
-                        *a += *value;
-                    }
-                    return;
+            let f = self.feature[at];
+            if f == LEAF {
+                for a in acc.iter_mut() {
+                    *a += self.threshold[at];
                 }
-                Node::Internal {
-                    feature: f,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    let f = *f as usize;
-                    if f == feature {
-                        let k = grid.partition_point(|&v| v <= *threshold);
-                        let (acc_left, acc_right) = std::mem::take(&mut acc).split_at_mut(k);
-                        self.accumulate_grid_from(
-                            *left as usize,
-                            columns,
-                            i,
-                            feature,
-                            &grid[..k],
-                            acc_left,
-                        );
-                        grid = &grid[k..];
-                        acc = acc_right;
-                        at = *right as usize;
-                    } else {
-                        at = if columns[f][i] <= *threshold {
-                            *left as usize
-                        } else {
-                            *right as usize
-                        };
-                    }
-                }
+                return;
+            }
+            let f = f as usize;
+            if f == feature {
+                let threshold = self.threshold[at];
+                let k = grid.partition_point(|&v| v <= threshold);
+                let (acc_left, acc_right) = std::mem::take(&mut acc).split_at_mut(k);
+                let left = self.left[at] as usize;
+                self.accumulate_grid_from(left, columns, i, feature, &grid[..k], acc_left);
+                grid = &grid[k..];
+                acc = acc_right;
+                at = left + 1;
+            } else {
+                at = self.child(at, columns[f][i]);
             }
         }
-    }
-
-    /// Borrow the node arena (used by the level-order batch layout in
-    /// [`crate::flat`]).
-    pub(crate) fn nodes(&self) -> &[Node] {
-        &self.nodes
     }
 
     /// Number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.feature.len()
     }
 
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.feature.iter().filter(|&&f| f == LEAF).count()
     }
 
-    /// Maximum depth of the tree (root = 0).
+    /// Maximum depth of the tree (root = 0). Children follow their parent,
+    /// so one forward pass sees every parent's depth before its children's.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], at: usize, d: usize) -> usize {
-            match &nodes[at] {
-                Node::Leaf { .. } => d,
-                Node::Internal { left, right, .. } => {
-                    walk(nodes, *left as usize, d + 1).max(walk(nodes, *right as usize, d + 1))
-                }
+        let mut depth = vec![0; self.feature.len()];
+        for at in 0..self.feature.len() {
+            if self.feature[at] != LEAF {
+                let left = self.left[at] as usize;
+                depth[left] = depth[at] + 1;
+                depth[left + 1] = depth[at] + 1;
             }
         }
-        walk(&self.nodes, 0, 0)
+        depth.into_iter().max().unwrap_or(0)
     }
 
     /// Number of features the tree was trained with.
     pub fn n_features(&self) -> usize {
         self.n_features
+    }
+
+    /// Node `at` in its bundle form.
+    pub(crate) fn node(&self, at: usize) -> Node {
+        match self.feature[at] {
+            LEAF => Node::Leaf {
+                value: self.threshold[at],
+                count: self.left[at],
+            },
+            feature => Node::Internal {
+                feature,
+                threshold: self.threshold[at],
+                left: self.left[at],
+                right: self.left[at] + 1,
+            },
+        }
+    }
+
+    /// Builds a tree from its bundle form, refusing one whose walks could
+    /// loop or index out of bounds.
+    pub(crate) fn from_nodes(
+        nodes: &[Node],
+        n_features: usize,
+        impurity_importance: Vec<f64>,
+    ) -> Result<RegressionTree, String> {
+        if nodes.is_empty() {
+            return Err("tree has no nodes".into());
+        }
+        let mut tree = RegressionTree {
+            feature: Vec::with_capacity(nodes.len()),
+            threshold: Vec::with_capacity(nodes.len()),
+            left: Vec::with_capacity(nodes.len()),
+            n_features,
+            impurity_importance,
+        };
+        for (at, node) in nodes.iter().enumerate() {
+            let (feature, threshold, left) = match *node {
+                Node::Leaf { value, count } => (LEAF, value, count),
+                Node::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    if feature as usize >= n_features {
+                        return Err(format!(
+                            "node {at} splits on feature {feature} of {n_features}"
+                        ));
+                    }
+                    if u64::from(right) != u64::from(left) + 1 {
+                        return Err(format!(
+                            "node {at}: right child {right} is not left child {left} + 1"
+                        ));
+                    }
+                    if left as usize <= at || right as usize >= nodes.len() {
+                        return Err(format!(
+                            "node {at}: children {left} and {right} must lie after it, \
+                             within the tree's {} nodes",
+                            nodes.len()
+                        ));
+                    }
+                    (feature, threshold, left)
+                }
+            };
+            tree.feature.push(feature);
+            tree.threshold.push(threshold);
+            tree.left.push(left);
+        }
+        Ok(tree)
+    }
+}
+
+impl Serialize for RegressionTree {
+    fn serialize_value(&self) -> Value {
+        let nodes = (0..self.feature.len())
+            .map(|at| self.node(at).serialize_value())
+            .collect();
+        Value::Map(vec![
+            ("nodes".into(), Value::Seq(nodes)),
+            ("n_features".into(), self.n_features.serialize_value()),
+            (
+                "impurity_importance".into(),
+                self.impurity_importance.serialize_value(),
+            ),
+        ])
+    }
+}
+
+impl Deserialize for RegressionTree {
+    fn deserialize_value(v: &Value) -> Result<Self, Error> {
+        let nodes = Vec::<Node>::deserialize_value(v.field("nodes"))?;
+        RegressionTree::from_nodes(
+            &nodes,
+            Deserialize::deserialize_value(v.field("n_features"))?,
+            Deserialize::deserialize_value(v.field("impurity_importance"))?,
+        )
+        .map_err(Error)
     }
 }
 
@@ -570,6 +635,63 @@ mod tests {
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[0], vec![1.0, 3.0, 5.0]);
         assert_eq!(cols[1], vec![2.0, 4.0, 6.0]);
+    }
+
+    /// Decodes a two-feature tree from its bundle JSON nodes.
+    fn decode(nodes: &str) -> Result<RegressionTree, String> {
+        let json =
+            format!(r#"{{"nodes":[{nodes}],"n_features":2,"impurity_importance":[0.0,0.0]}}"#);
+        serde_json::from_str(&json).map_err(|e| e.to_string())
+    }
+
+    /// A root split on `feature` with children `left`/`right`, then two leaves.
+    fn stump(feature: u32, left: u32, right: u32) -> String {
+        format!(
+            r#"{{"Internal":{{"feature":{feature},"threshold":0.5,"left":{left},"right":{right}}}}},
+               {{"Leaf":{{"value":1.0,"count":3}}}},{{"Leaf":{{"value":2.0,"count":4}}}}"#
+        )
+    }
+
+    fn refused(nodes: &str, why: &str) {
+        let err = decode(nodes).unwrap_err();
+        assert!(err.contains(why), "{err}");
+    }
+
+    #[test]
+    fn well_formed_tree_decodes_and_walks() {
+        let t = decode(&stump(1, 1, 2)).unwrap();
+        assert_eq!((t.node_count(), t.leaf_count(), t.depth()), (3, 2, 1));
+        assert_eq!(t.predict_row(&[9.0, 0.0]), 1.0);
+        assert_eq!(t.predict_row(&[9.0, f64::NAN]), 2.0);
+    }
+
+    #[test]
+    fn tree_without_nodes_is_refused() {
+        refused("", "no nodes");
+    }
+
+    #[test]
+    fn child_pointing_back_at_its_parent_is_refused() {
+        // Would loop forever: the root's left child is the root.
+        refused(
+            &stump(0, 0, 1),
+            "node 0: children 0 and 1 must lie after it",
+        );
+    }
+
+    #[test]
+    fn child_past_the_last_node_is_refused() {
+        refused(&stump(0, 999_999, 1_000_000), "within the tree's 3 nodes");
+    }
+
+    #[test]
+    fn right_child_not_next_to_left_is_refused() {
+        refused(&stump(0, 1, 3), "right child 3 is not left child 1 + 1");
+    }
+
+    #[test]
+    fn split_on_a_missing_feature_is_refused() {
+        refused(&stump(2, 1, 2), "node 0 splits on feature 2 of 2");
     }
 
     #[test]

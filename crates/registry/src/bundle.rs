@@ -179,8 +179,44 @@ impl ModelBundle {
             }
             Some(_) => {}
         }
-        serde_json::from_str(&text)
-            .map_err(|e| BundleError::Format(format!("{}: decode bundle: {e}", path.display())))
+        let bundle: ModelBundle = serde_json::from_str(&text)
+            .map_err(|e| BundleError::Format(format!("{}: decode bundle: {e}", path.display())))?;
+        bundle
+            .check_chain()
+            .map_err(|msg| BundleError::Format(format!("{}: {msg}", path.display())))?;
+        Ok(bundle)
+    }
+
+    /// Checks that the prediction chain can run on any characteristic
+    /// vector the bundle accepts: the bundle and its counter models name
+    /// the same characteristics, no counter model reads past them, and
+    /// there is one counter model per reduced-forest input. The decoders
+    /// check each model's own shape; this checks how they fit together.
+    pub fn check_chain(&self) -> Result<(), String> {
+        let counters = &self.predictor.counters;
+        if self.characteristics != counters.characteristics {
+            return Err(format!(
+                "bundle characteristics {:?} disagree with the counter models' {:?}",
+                self.characteristics, counters.characteristics
+            ));
+        }
+        let width = self.characteristics.len();
+        if let Some(m) = counters.models.iter().find(|m| m.input_width() > width) {
+            return Err(format!(
+                "counter model {} reads characteristic {} of {width}",
+                m.counter,
+                m.input_width() - 1
+            ));
+        }
+        let forest = &self.predictor.model.reduced_forest;
+        if counters.models.len() != forest.n_features() {
+            return Err(format!(
+                "{} counter models cannot feed a reduced forest of width {}",
+                counters.models.len(),
+                forest.n_features()
+            ));
+        }
+        Ok(())
     }
 
     /// A stable content identifier: a hash of the serialized bundle,
@@ -236,7 +272,7 @@ impl ModelBundle {
     pub fn predict(&self, chars: &[f64]) -> Result<Prediction, String> {
         let mut answers = self
             .predictor
-            .predict_rows(&[chars], &[], None)
+            .predict_rows(&[chars], &[])
             .map_err(|e| e.to_string())?;
         Ok(answers.remove(0))
     }
@@ -270,7 +306,7 @@ impl ModelBundle {
             .collect::<Result<_, _>>()?;
         let answers = self
             .predictor
-            .predict_rows(&[char_values], overrides, None)
+            .predict_rows(&[char_values], overrides)
             .map_err(|e| e.to_string())?;
         Ok(answers[0].predicted_ms)
     }

@@ -16,8 +16,8 @@
 //!   the current `Arc<RouteTable>` and revalidate it with one relaxed
 //!   atomic load per request; they touch a lock only in the instant after
 //!   a mutation, so the serving hot path never blocks on a reload. Writers
-//!   build the expensive parts (forest compilation, page warm-up) *outside*
-//!   any lock and publish by swapping one `Arc`.
+//!   decode and check a bundle *outside* any lock and publish by swapping
+//!   one `Arc`.
 //! * [`shadow`] — the shadow-mode replay engine: primary predictions are
 //!   resubmitted against a shadow bundle on a dedicated thread (bounded
 //!   queue, drop-on-full — the primary path is never backpressured) and

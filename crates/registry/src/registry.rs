@@ -13,8 +13,8 @@
 //! Since mutations are rare (an operator action) and readers hold the lock
 //! for a single `Arc::clone`, the serving hot path is lock-free in the
 //! steady state and never waits on a reload in progress: the expensive
-//! part of a load — deserialization, forest compilation, page warm-up —
-//! happens before the lock is touched.
+//! part of a load — decoding and checking the bundle — happens before the
+//! lock is touched.
 //!
 //! ## Drain protocol
 //!
@@ -29,7 +29,7 @@
 
 use crate::bundle::{BundleError, ModelBundle};
 use crate::shadow::{ShadowEngine, ShadowJob, ShadowReport};
-use bf_forest::FlatForest;
+use bf_forest::RandomForest;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -37,19 +37,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// A bundle loaded for serving: the artifact plus everything derived from
-/// it at load time (content id, compiled forest) and per-model serving
-/// counters.
+/// A bundle loaded for serving: the artifact, its content id, and
+/// per-model serving counters. Predictions price through
+/// `bundle.predictor`.
 pub struct LoadedModel {
     /// The artifact itself.
     pub bundle: ModelBundle,
     /// Content hash of the serialized bundle; the model's address.
     pub content_id: u64,
-    /// The reduced forest compiled into the level-order batch layout.
-    pub flat: FlatForest,
-    /// Checksum returned by [`FlatForest::warm`] at load time; recorded so
-    /// a warm pass provably ran before the model was published.
-    pub warm_checksum: u64,
+    /// A clone of the bundle's reduced forest, which nothing in the
+    /// workspace reads. It stays only for the benchmark's serve replay
+    /// (`perfbench/src/serve.rs`), which calls `flat.predict_batch`; the
+    /// benchmark change of ROADMAP item 3 moves that replay onto
+    /// `predict_rows` and deletes this field.
+    pub flat: RandomForest,
     /// Path the bundle was loaded from, when it came from disk.
     pub source: Option<PathBuf>,
     /// Unix seconds when the model was loaded into this registry.
@@ -61,47 +62,22 @@ pub struct LoadedModel {
 }
 
 impl LoadedModel {
-    /// Compiles and warms a bundle for serving. A bundle whose prediction
-    /// chain cannot run — characteristics, counter models and reduced-forest
-    /// width disagree — is refused, so it is never published.
+    /// Readies a bundle for serving. A bundle whose prediction chain cannot
+    /// run ([`ModelBundle::check_chain`]) is refused, so it is never
+    /// published.
     fn build(bundle: ModelBundle, source: Option<PathBuf>) -> Result<LoadedModel, BundleError> {
         let mut span = bf_trace::span!("registry.load", workload = bundle.workload.as_str());
-        let chain = &bundle.predictor;
-        if bundle.characteristics != chain.counters.characteristics {
-            return Err(BundleError::Format(format!(
-                "bundle characteristics {:?} disagree with the counter models' {:?}",
-                bundle.characteristics, chain.counters.characteristics
-            )));
-        }
-        let flat = FlatForest::from_forest(&chain.model.reduced_forest);
-        if chain.counters.models.len() != flat.n_features() {
-            return Err(BundleError::Format(format!(
-                "{} counter models cannot feed a reduced forest of width {}",
-                chain.counters.models.len(),
-                flat.n_features()
-            )));
-        }
+        bundle.check_chain().map_err(BundleError::Format)?;
+        let forest = &bundle.predictor.model.reduced_forest;
         let content_id = bundle.content_id();
-        // Fault every page of the compiled layout before publication, so
-        // the first request after a hot swap pays no first-touch cost.
-        let warm_checksum = flat.warm();
-        // One end-to-end prediction warms the counter-model path too.
-        if let Some(&size) = bundle.sweep.sizes.get(bundle.sweep.sizes.len() / 2) {
-            if let Ok(chars) = bundle.characteristics_for(size as f64, None, None) {
-                chain
-                    .predict_rows(&[chars], &[], Some(&flat))
-                    .map_err(|e| BundleError::Format(format!("warm-up prediction: {e}")))?;
-            }
-        }
         if span.is_active() {
             span.attr("content_id", format!("{content_id:016x}").as_str());
-            span.attr("trees", flat.n_trees() as u64);
+            span.attr("trees", forest.n_trees() as u64);
         }
         Ok(LoadedModel {
+            flat: forest.clone(),
             bundle,
             content_id,
-            flat,
-            warm_checksum,
             source,
             loaded_unix: now_unix(),
             served_requests: AtomicU64::new(0),
@@ -365,8 +341,8 @@ impl Registry {
 
     /// Clones the current table, applies `mutate`, and publishes the
     /// result under a new epoch. The closure must be cheap: every
-    /// expensive step (bundle decode, forest compile, warm-up) happens in
-    /// the caller before this is entered.
+    /// expensive step (bundle decode and checks) happens in the caller
+    /// before this is entered.
     fn publish<T>(
         &self,
         mutate: impl FnOnce(&mut RouteTable) -> Result<T, RegistryError>,
@@ -381,8 +357,8 @@ impl Registry {
         Ok(out)
     }
 
-    /// Loads a bundle value into the registry (compile + warm outside any
-    /// lock, then publish). Loading an already-loaded bundle is an
+    /// Loads a bundle value into the registry (checks outside any lock,
+    /// then publish). Loading an already-loaded bundle is an
     /// idempotent success. Returns the content id.
     pub fn load_bundle(&self, bundle: ModelBundle) -> Result<u64, RegistryError> {
         self.load_model(bundle, None)
@@ -583,7 +559,7 @@ impl Registry {
                 gpu: m.bundle.gpu_name.clone(),
                 gpu_fingerprint: format!("{:#x}", m.bundle.gpu_fingerprint),
                 schema_version: m.bundle.schema_version,
-                trees: m.flat.n_trees(),
+                trees: m.bundle.predictor.model.reduced_forest.n_trees(),
                 characteristics: m.bundle.characteristics.clone(),
                 source: m.source.as_ref().map(|p| p.display().to_string()),
                 loaded_unix: m.loaded_unix,
@@ -763,7 +739,7 @@ pub struct ModelInfo {
     pub gpu_fingerprint: String,
     /// Bundle schema version.
     pub schema_version: u32,
-    /// Trees in the compiled reduced forest.
+    /// Trees in the reduced forest.
     pub trees: usize,
     /// Characteristic names, in query order.
     pub characteristics: Vec<String>,

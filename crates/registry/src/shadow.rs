@@ -164,7 +164,7 @@ impl ShadowEngine {
                     let shadow_ms: Option<Vec<f64>> = shadow
                         .bundle
                         .predictor
-                        .predict_rows(&job.rows, &[], Some(&shadow.flat))
+                        .predict_rows(&job.rows, &[])
                         .ok()
                         .map(|answers| answers.iter().map(|p| p.predicted_ms).collect());
                     bf_trace::counter!("serve.shadow.replayed");

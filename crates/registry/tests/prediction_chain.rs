@@ -1,6 +1,7 @@
 //! Every entry point of the prediction chain — the in-memory predictor,
-//! the bundle's `predict` and `predict_ms_with`, and `predict_rows` through
-//! the registry's compiled forest — prices a size grid to the same bits.
+//! the bundle's `predict` and `predict_ms_with`, and `predict_rows` on the
+//! registry's loaded copy of the bundle — prices a size grid to the same
+//! bits.
 
 use bf_registry::{ModelBundle, Registry};
 use blackforest::{BlackForest, ModelConfig, Workload};
@@ -40,10 +41,7 @@ fn every_entry_point_prices_a_size_grid_to_identical_bits() {
                 .unwrap()
         })
         .collect();
-    let batch = bundle
-        .predictor
-        .predict_rows(&rows, &[], Some(&model.flat))
-        .unwrap();
+    let batch = model.bundle.predictor.predict_rows(&rows, &[]).unwrap();
     assert_eq!(batch.len(), rows.len());
     for (row, want) in rows.iter().zip(&batch) {
         let bits = want.predicted_ms.to_bits();

@@ -5,6 +5,8 @@
 use bf_registry::{
     AliasUpdate, BundleError, ModelBundle, Registry, RegistryError, ShadowJob, Split,
 };
+use bf_regress::glm::{Basis, LinearModel};
+use blackforest::countermodel::CounterFit;
 use blackforest::{BlackForest, ModelConfig, Workload};
 use gpu_sim::GpuConfig;
 use std::sync::atomic::Ordering;
@@ -73,10 +75,6 @@ fn load_alias_resolve_and_hot_swap() {
     let after = reader.resolve("default").unwrap();
     assert_eq!(after.model.content_id, id_b);
     assert_eq!(before.model.content_id, id_a, "in-flight Arc is unaffected");
-
-    // Warm-up provably ran before publication on both models.
-    assert_eq!(before.model.warm_checksum, before.model.flat.warm());
-    assert_eq!(after.model.warm_checksum, after.model.flat.warm());
 }
 
 #[test]
@@ -90,17 +88,42 @@ fn bundle_whose_chain_cannot_run_is_refused_and_nothing_is_published() {
     short.predictor.counters.models.pop();
     let mut renamed = a.clone();
     renamed.characteristics[0] = "mystery".into();
+    let width = a.characteristics.len();
+    let mut identity = a.clone();
+    identity.predictor.counters.models[0].fit = CounterFit::Identity { index: width };
+    let mut glm = a.clone();
+    glm.predictor.counters.models[0].fit = CounterFit::Glm(LinearModel {
+        basis: vec![Basis::Intercept, Basis::Interaction { a: 0, b: width + 2 }],
+        coefficients: vec![1.0, 1.0],
+        residual_deviance: 0.0,
+        null_deviance: 0.0,
+        n_obs: 1,
+    });
+    let dir = std::env::temp_dir().join(format!("bf_registry_bad_chain_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.json");
     for (tampered, mismatch) in [
-        (short, "cannot feed a reduced forest of width"),
-        (renamed, "disagree with the counter models'"),
+        (short, "cannot feed a reduced forest of width".to_string()),
+        (renamed, "disagree with the counter models'".to_string()),
+        (identity, format!("reads characteristic {width} of {width}")),
+        (
+            glm,
+            format!("reads characteristic {} of {width}", width + 2),
+        ),
     ] {
-        let err = registry.load_bundle(tampered).unwrap_err();
-        assert!(
-            matches!(&err, RegistryError::Bundle(BundleError::Format(msg)) if msg.contains(mismatch)),
-            "{err}"
-        );
-        assert_eq!(err.http_status(), 400);
+        tampered.save(&path).unwrap();
+        for err in [
+            registry.load_path(&path).unwrap_err(),
+            registry.load_bundle(tampered).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, RegistryError::Bundle(BundleError::Format(msg)) if msg.contains(&mismatch)),
+                "{err}"
+            );
+            assert_eq!(err.http_status(), 400);
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 
     let after = registry.list();
     assert_eq!(
@@ -109,6 +132,45 @@ fn bundle_whose_chain_cannot_run_is_refused_and_nothing_is_published() {
     );
     let ids: Vec<String> = after.models.iter().map(|m| m.id.clone()).collect();
     assert_eq!(ids, vec![format!("{id_a:016x}")]);
+}
+
+#[test]
+fn bundle_file_with_a_malformed_tree_is_refused_at_load() {
+    let (a, _) = bundles();
+    let dir = std::env::temp_dir().join(format!("bf_registry_bad_tree_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = dir.join("good.json");
+    a.save(&good).unwrap();
+    let json = std::fs::read_to_string(&good).unwrap();
+    // The root of the reduced forest's first tree: a split's children are
+    // appended after it, so the root's are always at slots 1 and 2.
+    const ROOT_CHILDREN: &str = "\"left\":1,\"right\":2";
+    let forest = json.find("\"reduced_forest\"").unwrap();
+    let root = forest + json[forest..].find(ROOT_CHILDREN).unwrap();
+    let registry = Registry::new();
+    for (children, why) in [
+        (
+            "\"left\":0,\"right\":1",
+            "tree 0: node 0: children 0 and 1 must lie after it",
+        ),
+        ("\"left\":999999,\"right\":1000000", "within the tree's"),
+    ] {
+        let bad = dir.join("bad.json");
+        let tampered = format!(
+            "{}{children}{}",
+            &json[..root],
+            &json[root + ROOT_CHILDREN.len()..]
+        );
+        std::fs::write(&bad, tampered).unwrap();
+        let err = registry.load_path(&bad).unwrap_err();
+        assert!(
+            matches!(&err, RegistryError::Bundle(BundleError::Format(msg)) if msg.contains(why)),
+            "{err}"
+        );
+        assert_eq!(err.http_status(), 400);
+    }
+    assert!(registry.list().models.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -32,7 +32,7 @@
 //!   the default model.
 //! * `GET /healthz` — liveness + registry identity.
 //! * `GET /readyz` — readiness: `200` only once the `default` alias
-//!   resolves to a warmed bundle, `503` before (and during initial load).
+//!   resolves to a loaded bundle, `503` before (and during initial load).
 //! * `GET /metrics` — Prometheus-style text exposition (server + registry
 //!   + shadow counters).
 //!
@@ -188,7 +188,7 @@ impl ServerHandle {
 
 impl PredictServer {
     /// Binds the listener around a single bundle: a fresh registry is
-    /// created, the bundle loaded (compiled + warmed) and published as the
+    /// created, the bundle loaded and published as the
     /// `default` alias. Compatibility constructor — multi-model callers
     /// use [`PredictServer::bind_registry`].
     pub fn bind(addr: &str, bundle: ModelBundle, config: ServeConfig) -> Result<Self, String> {
@@ -635,7 +635,7 @@ pub(crate) fn process_predict_jobs(state: &ServerState, jobs: &[PredictJob]) -> 
 
 /// Evaluates canonicalized characteristic rows against one resolved model:
 /// per-row cache lookups, then one prediction-chain call over all misses
-/// through the model's pre-flattened forest. Returns `(prediction,
+/// through the model's reduced forest. Returns `(prediction,
 /// was_cached)` per row, in order. Bit-identical to calling
 /// [`ModelBundle::predict`] row by row.
 pub(crate) fn predict_rows(
@@ -677,7 +677,7 @@ pub(crate) fn predict_rows(
         let predictions = model
             .bundle
             .predictor
-            .predict_rows(&miss_rows, &[], Some(&model.flat))
+            .predict_rows(&miss_rows, &[])
             .map_err(|e| e.to_string())?;
         state.metrics.observe_batch(misses.len() as u64);
         let mut cache = state.cache.lock().unwrap();
@@ -884,7 +884,7 @@ fn handle_healthz(state: &ServerState) -> Response {
                 gpu: bundle.gpu_name.clone(),
                 schema_version: bundle.schema_version,
                 bundle_id: resolved.model.id_hex(),
-                trees: resolved.model.flat.n_trees(),
+                trees: bundle.predictor.model.reduced_forest.n_trees(),
                 selected: bundle.selected.clone(),
             };
             match serde_json::to_string(&payload) {
@@ -901,7 +901,7 @@ fn handle_healthz(state: &ServerState) -> Response {
 }
 
 /// Readiness: `200` only once the `default` alias resolves to a loaded
-/// (and therefore warmed — warm-up precedes publication) bundle; `503`
+/// (and therefore checked — checks precede publication) bundle; `503`
 /// before, including during initial load.
 fn handle_readyz(state: &ServerState) -> Response {
     let (status, payload) = match state.registry.resolve("default") {
