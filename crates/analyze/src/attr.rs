@@ -27,7 +27,6 @@ use crate::walk::{
     fold_op, Accumulator, CoalescingSummary, DivergenceSummary, Location, SampledLaunch,
     SharedConflictSummary, StaticCounts, StaticLaunchAnalysis,
 };
-use bf_kernels::Application;
 use gpu_sim::blocks::{block_content_id, segment_stream};
 use gpu_sim::trace::KernelTrace;
 use gpu_sim::{GpuConfig, Result};
@@ -192,7 +191,7 @@ struct BlockAcc {
 impl SampledLaunch {
     /// The per-basic-block counting fold over the compiled ops; the traces
     /// give the block boundaries.
-    pub(crate) fn attribute(&self, gpu: &GpuConfig) -> BlockLevelAnalysis {
+    pub fn attribute(&self, gpu: &GpuConfig) -> BlockLevelAnalysis {
         let mut blocks: Vec<BlockAcc> = Vec::new();
         // id -> index into `blocks`; linear scan is fine at trace block
         // counts (tens of distinct blocks), and it keeps first-seen order
@@ -334,17 +333,6 @@ pub fn block_profile(analyses: &[BlockLevelAnalysis]) -> AppBlockProfile {
     }
 }
 
-/// Attributes every launch of an application and rolls up the profile.
-pub fn application_block_profile(gpu: &GpuConfig, app: &Application) -> Result<AppBlockProfile> {
-    let analyses: Vec<BlockLevelAnalysis> = app
-        .launches
-        .iter()
-        .enumerate()
-        .map(|(i, k)| attribute_launch(gpu, k.as_ref()).map_err(|e| e.in_kernel(&k.name(), i)))
-        .collect::<Result<_>>()?;
-    Ok(block_profile(&analyses))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +375,12 @@ mod tests {
     fn app_profile_reports_hot_blocks() {
         let gpu = GpuConfig::gtx580();
         let app = reduce_application(ReduceVariant::Reduce1, 1 << 14, 128);
-        let p = application_block_profile(&gpu, &app).unwrap();
+        let analyses: Vec<BlockLevelAnalysis> = app
+            .launches
+            .iter()
+            .map(|k| attribute_launch(&gpu, k.as_ref()).unwrap())
+            .collect();
+        let p = block_profile(&analyses);
         assert!(p.distinct_blocks >= 2);
         assert!(p.top_block_cost_share > 0.0 && p.top_block_cost_share <= 1.0);
         assert!(p.hot_block_count >= 1);

@@ -22,7 +22,7 @@
 //! launch they actually touch.
 
 use crate::attr::{BlockAttribution, BlockLevelAnalysis};
-use crate::walk::StaticLaunchAnalysis;
+use crate::walk::{Location, StaticLaunchAnalysis};
 use gpu_sim::occupancy::OccupancyLimiter;
 use gpu_sim::{GpuConfig, SimError};
 use serde::{Deserialize, Serialize, Value};
@@ -142,7 +142,7 @@ impl Span {
     }
 
     /// Attaches an instruction location.
-    pub fn at(mut self, loc: crate::walk::Location) -> Span {
+    pub fn at(mut self, loc: Location) -> Span {
         self.block = Some(loc.block);
         self.warp = Some(loc.warp);
         self.instruction = Some(loc.instruction);
@@ -218,45 +218,138 @@ const STORE_HINT: &str =
 const DIVERGENCE_HINT: &str = "restructure thread->work mapping so whole warps take the same \
                                path (e.g. strided reduction indexing)";
 
-/// The occupancy check — shared by launch-level and block-level diagnosis
-/// (occupancy is a property of the launch configuration, not of any block).
-fn occupancy_check(gpu: &GpuConfig, a: &StaticLaunchAnalysis, launch: usize) -> Option<Diagnostic> {
-    if a.occupancy.theoretical >= OCCUPANCY_THRESHOLD {
-        return None;
-    }
-    let limiter = a.occupancy.limiter;
-    let hint = match limiter {
-        OccupancyLimiter::BlockSlots => {
-            "increase the block size so fewer, larger blocks fill the warp slots"
-        }
-        OccupancyLimiter::WarpSlots => "reduce the block size or rebalance warps per block",
-        OccupancyLimiter::Registers => {
-            "reduce per-thread register use (or cap it with launch bounds)"
-        }
-        OccupancyLimiter::SharedMemory => "reduce per-block shared-memory allocation",
-        OccupancyLimiter::GridSize => "launch more blocks to fill the machine",
-    };
-    Some(Diagnostic {
-        code: LOW_OCCUPANCY.to_string(),
-        severity: Severity::Warning,
-        span: Span::launch(&a.kernel, launch),
-        message: format!(
-            "theoretical occupancy limited to {:.1}% by {} ({} blocks/SM, {} warps of {})",
-            a.occupancy.theoretical * 100.0,
-            limiter.name(),
-            a.occupancy.blocks_per_sm,
-            a.occupancy.warps_per_sm,
-            gpu.max_warps_per_sm
-        ),
-        suggestion: hint.into(),
-        cost: None,
-    })
+/// Where the mechanism warnings are raised: a whole launch, or one of its
+/// basic blocks. The scopes differ only in the words that place a finding,
+/// the block tag, the span and the cost.
+enum Scope<'a> {
+    /// The launch: each warning points at its mechanism's worst access and
+    /// carries no cost.
+    Launch(&'a StaticLaunchAnalysis),
+    /// One basic block: every warning points at the block's first
+    /// instruction, is tagged with its share of the launch's attributed
+    /// cost, and carries its full-grid-scaled cost.
+    Block {
+        block: &'a BlockAttribution,
+        share: f64,
+        cost: f64,
+    },
 }
 
-/// The always-emitted roofline note (launch-level by nature).
-fn roofline_note(gpu: &GpuConfig, a: &StaticLaunchAnalysis, launch: usize) -> Diagnostic {
+/// Emits the mechanism warnings — W001 bank conflicts, W002 uncoalesced
+/// loads and stores, W004 divergence — of one scope's profiles.
+fn mechanism_warnings(out: &mut Vec<Diagnostic>, span: &Span, scope: &Scope) {
+    let (shared, loads, stores, divergence, words, cost) = match scope {
+        Scope::Launch(a) => (&a.shared, &a.loads, &a.stores, &a.divergence, "", None),
+        Scope::Block { block: b, cost, .. } => (
+            &b.shared,
+            &b.loads,
+            &b.stores,
+            &b.divergence,
+            " in basic block",
+            Some(*cost),
+        ),
+    };
+    let tag = || match scope {
+        Scope::Launch(_) => String::new(),
+        Scope::Block { block, share, .. } => format!(
+            " [block {} ~{:.0}% of attributed cost]",
+            block.id_hex(),
+            share * 100.0
+        ),
+    };
+    let mut warn = |code: &str, worst: Option<Location>, message: String, hint: &str| {
+        let at = match scope {
+            Scope::Launch(_) => worst.expect("a flagged mechanism has a location"),
+            Scope::Block { block, .. } => block.first_seen,
+        };
+        out.push(Diagnostic {
+            code: code.to_string(),
+            severity: Severity::Warning,
+            span: span.clone().at(at),
+            message,
+            suggestion: hint.into(),
+            cost,
+        });
+    };
+
+    if shared.max_degree >= 2 {
+        let message = format!(
+            "{}-way shared-memory bank conflict{words} ({} of {} shared accesses conflicted){}",
+            shared.max_degree,
+            shared.conflicted,
+            shared.accesses,
+            tag()
+        );
+        warn(BANK_CONFLICT, shared.worst, message, BANK_CONFLICT_HINT);
+    }
+    for (what, summary, hint) in [("load", loads, LOAD_HINT), ("store", stores, STORE_HINT)] {
+        if summary.requests > 0 && summary.efficiency() < COALESCING_THRESHOLD {
+            let message = format!(
+                "uncoalesced global {what}s{words}: {:.1}% efficiency ({} transactions for {} \
+                 requests){}",
+                summary.efficiency() * 100.0,
+                summary.transactions,
+                summary.requests,
+                tag()
+            );
+            warn(UNCOALESCED, summary.worst, message, hint);
+        }
+    }
+    if divergence.branches > 0 {
+        let frac = divergence.divergent as f64 / divergence.branches as f64;
+        if frac >= DIVERGENCE_THRESHOLD {
+            let message = format!(
+                "{:.0}% of branches{words} diverge ({} of {}); diverged paths serialise{}",
+                frac * 100.0,
+                divergence.divergent,
+                divergence.branches,
+                tag()
+            );
+            warn(DIVERGENCE, divergence.first, message, DIVERGENCE_HINT);
+        }
+    }
+}
+
+/// The launch-level checks no block scopes: the occupancy warning (W003;
+/// occupancy is a property of the launch configuration) and the
+/// always-emitted roofline note.
+fn launch_checks(
+    out: &mut Vec<Diagnostic>,
+    gpu: &GpuConfig,
+    a: &StaticLaunchAnalysis,
+    launch: usize,
+) {
+    if a.occupancy.theoretical < OCCUPANCY_THRESHOLD {
+        let limiter = a.occupancy.limiter;
+        let hint = match limiter {
+            OccupancyLimiter::BlockSlots => {
+                "increase the block size so fewer, larger blocks fill the warp slots"
+            }
+            OccupancyLimiter::WarpSlots => "reduce the block size or rebalance warps per block",
+            OccupancyLimiter::Registers => {
+                "reduce per-thread register use (or cap it with launch bounds)"
+            }
+            OccupancyLimiter::SharedMemory => "reduce per-block shared-memory allocation",
+            OccupancyLimiter::GridSize => "launch more blocks to fill the machine",
+        };
+        out.push(Diagnostic {
+            code: LOW_OCCUPANCY.to_string(),
+            severity: Severity::Warning,
+            span: Span::launch(&a.kernel, launch),
+            message: format!(
+                "theoretical occupancy limited to {:.1}% by {} ({} blocks/SM, {} warps of {})",
+                a.occupancy.theoretical * 100.0,
+                limiter.name(),
+                a.occupancy.blocks_per_sm,
+                a.occupancy.warps_per_sm,
+                gpu.max_warps_per_sm
+            ),
+            suggestion: hint.into(),
+            cost: None,
+        });
+    }
     let roofline = a.roofline(gpu);
-    Diagnostic {
+    out.push(Diagnostic {
         code: ROOFLINE.to_string(),
         severity: Severity::Info,
         span: Span::launch(&a.kernel, launch),
@@ -269,77 +362,18 @@ fn roofline_note(gpu: &GpuConfig, a: &StaticLaunchAnalysis, launch: usize) -> Di
         ),
         suggestion: "informational; optimise the dominating side first".into(),
         cost: None,
-    }
+    });
 }
 
 /// Runs every launch-level check over one static analysis.
 pub fn diagnose(gpu: &GpuConfig, a: &StaticLaunchAnalysis, launch: usize) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let span = || Span::launch(&a.kernel, launch);
-
-    if a.shared.max_degree >= 2 {
-        let worst = a.shared.worst.expect("conflicted access has a location");
-        out.push(Diagnostic {
-            code: BANK_CONFLICT.to_string(),
-            severity: Severity::Warning,
-            span: span().at(worst),
-            message: format!(
-                "{}-way shared-memory bank conflict ({} of {} shared accesses conflicted)",
-                a.shared.max_degree, a.shared.conflicted, a.shared.accesses
-            ),
-            suggestion: BANK_CONFLICT_HINT.into(),
-            cost: None,
-        });
-    }
-
-    for (what, summary, hint) in [
-        ("load", &a.loads, LOAD_HINT),
-        ("store", &a.stores, STORE_HINT),
-    ] {
-        if summary.requests > 0 && summary.efficiency() < COALESCING_THRESHOLD {
-            let worst = summary.worst.expect("accesses recorded imply a worst span");
-            out.push(Diagnostic {
-                code: UNCOALESCED.to_string(),
-                severity: Severity::Warning,
-                span: span().at(worst),
-                message: format!(
-                    "uncoalesced global {}s: {:.1}% efficiency ({} transactions for {} requests)",
-                    what,
-                    summary.efficiency() * 100.0,
-                    summary.transactions,
-                    summary.requests
-                ),
-                suggestion: hint.into(),
-                cost: None,
-            });
-        }
-    }
-
-    if let Some(d) = occupancy_check(gpu, a, launch) {
-        out.push(d);
-    }
-
-    if a.divergence.branches > 0 {
-        let frac = a.divergence.divergent as f64 / a.divergence.branches as f64;
-        if frac >= DIVERGENCE_THRESHOLD {
-            let first = a.divergence.first.expect("divergent branch has a location");
-            out.push(Diagnostic {
-                code: DIVERGENCE.to_string(),
-                severity: Severity::Warning,
-                span: span().at(first),
-                message: format!(
-                    "{:.0}% of branches diverge ({} of {}); diverged paths serialise",
-                    frac * 100.0,
-                    a.divergence.divergent,
-                    a.divergence.branches
-                ),
-                suggestion: DIVERGENCE_HINT.into(),
-                cost: None,
-            });
-        }
-    }
-
-    out.push(roofline_note(gpu, a, launch));
+    mechanism_warnings(
+        &mut out,
+        &Span::launch(&a.kernel, launch),
+        &Scope::Launch(a),
+    );
+    launch_checks(&mut out, gpu, a, launch);
     out
 }
 
@@ -355,81 +389,14 @@ pub fn diagnose_blocks(
     launch: usize,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let block_span = |b: &BlockAttribution| Span::launch(&blocks.kernel, launch).at(b.first_seen);
-    let tag = |b: &BlockAttribution, share: f64| {
-        format!(
-            "[block {} ~{:.0}% of attributed cost]",
-            b.id_hex(),
-            share * 100.0
-        )
-    };
-
+    let span = Span::launch(&blocks.kernel, launch);
     for b in &blocks.blocks {
-        let share = blocks.cost_share(b);
-        let cost = Some(b.cost() * blocks.scale);
-
-        if b.shared.max_degree >= 2 {
-            out.push(Diagnostic {
-                code: BANK_CONFLICT.to_string(),
-                severity: Severity::Warning,
-                span: block_span(b),
-                message: format!(
-                    "{}-way shared-memory bank conflict in basic block ({} of {} shared \
-                     accesses conflicted) {}",
-                    b.shared.max_degree,
-                    b.shared.conflicted,
-                    b.shared.accesses,
-                    tag(b, share)
-                ),
-                suggestion: BANK_CONFLICT_HINT.into(),
-                cost,
-            });
-        }
-
-        for (what, summary, hint) in [
-            ("load", &b.loads, LOAD_HINT),
-            ("store", &b.stores, STORE_HINT),
-        ] {
-            if summary.requests > 0 && summary.efficiency() < COALESCING_THRESHOLD {
-                out.push(Diagnostic {
-                    code: UNCOALESCED.to_string(),
-                    severity: Severity::Warning,
-                    span: block_span(b),
-                    message: format!(
-                        "uncoalesced global {}s in basic block: {:.1}% efficiency \
-                         ({} transactions for {} requests) {}",
-                        what,
-                        summary.efficiency() * 100.0,
-                        summary.transactions,
-                        summary.requests,
-                        tag(b, share)
-                    ),
-                    suggestion: hint.into(),
-                    cost,
-                });
-            }
-        }
-
-        if b.divergence.branches > 0 {
-            let frac = b.divergence.divergent as f64 / b.divergence.branches as f64;
-            if frac >= DIVERGENCE_THRESHOLD {
-                out.push(Diagnostic {
-                    code: DIVERGENCE.to_string(),
-                    severity: Severity::Warning,
-                    span: block_span(b),
-                    message: format!(
-                        "{:.0}% of branches in basic block diverge ({} of {}); diverged \
-                         paths serialise {}",
-                        frac * 100.0,
-                        b.divergence.divergent,
-                        b.divergence.branches,
-                        tag(b, share)
-                    ),
-                    suggestion: DIVERGENCE_HINT.into(),
-                    cost,
-                });
-            }
-        }
+        let scope = Scope::Block {
+            block: b,
+            share: blocks.cost_share(b),
+            cost: b.cost() * blocks.scale,
+        };
+        mechanism_warnings(&mut out, &span, &scope);
     }
 
     if blocks.blocks.len() >= 2 {
@@ -439,7 +406,7 @@ pub fn diagnose_blocks(
             out.push(Diagnostic {
                 code: HOT_BLOCK.to_string(),
                 severity: Severity::Warning,
-                span: block_span(top),
+                span: span.clone().at(top.first_seen),
                 message: format!(
                     "basic block {} dominates the launch: {:.0}% of attributed issue-slot \
                      cost across {} blocks ({} instructions, {} occurrences)",
@@ -457,10 +424,7 @@ pub fn diagnose_blocks(
         }
     }
 
-    if let Some(d) = occupancy_check(gpu, a, launch) {
-        out.push(d);
-    }
-    out.push(roofline_note(gpu, a, launch));
+    launch_checks(&mut out, gpu, a, launch);
     out
 }
 

@@ -24,27 +24,18 @@ use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::{simulate_launch, GpuConfig};
+use gpu_sim::{simulate_sampled_launch_with, EngineOptions, GpuConfig};
 use serde::{Deserialize, Serialize};
 
-/// Options for a lint run (the stable, flag-free subset; see [`LintConfig`]
-/// for the block/what-if extensions).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintOptions {
-    /// Use the small quick sweep instead of the full one.
-    pub quick: bool,
-    /// Also run the static-vs-dynamic differential oracle (costs a dynamic
-    /// simulation per launch).
-    pub oracle: bool,
-}
-
-/// Full configuration of a lint run, including the schema-version-2
-/// features. [`LintOptions`] converts losslessly into the v1 subset.
+/// Configuration of a lint run. Plain runs (`blocks` off, no `what_if`)
+/// emit schema version 1; block attribution or what-if pricing emit
+/// version 2.
 #[derive(Clone, Copy, Default)]
 pub struct LintConfig<'a> {
     /// Use the small quick sweep instead of the full one.
     pub quick: bool,
-    /// Also run the static-vs-dynamic differential oracle.
+    /// Also run the static-vs-dynamic differential oracle (costs a dynamic
+    /// simulation per launch).
     pub oracle: bool,
     /// Attribute counters to basic blocks: block-level diagnostics, the
     /// per-block cost table, and the conservation check (BF-E003).
@@ -52,17 +43,6 @@ pub struct LintConfig<'a> {
     /// Price each applicable fix through a trained model (implies block
     /// attribution is meaningful but does not require `blocks`).
     pub what_if: Option<&'a dyn WhatIfModel>,
-}
-
-impl From<LintOptions> for LintConfig<'static> {
-    fn from(o: LintOptions) -> Self {
-        LintConfig {
-            quick: o.quick,
-            oracle: o.oracle,
-            blocks: false,
-            what_if: None,
-        }
-    }
 }
 
 /// A diagnostic plus how many launches it fired on (duplicates across a
@@ -233,19 +213,14 @@ pub const WORKLOADS: &[&str] = &[
     "stencil",
 ];
 
-/// Builds the sweep of applications for a named workload, mirroring the
-/// paper's parameter ranges (`--quick` trims them for CI).
-pub fn workload_sweep(workload: &str, quick: bool) -> Option<Vec<Application>> {
-    workload_sweep_with_chars(workload, quick).map(|(apps, _)| apps)
-}
-
 /// One application's named characteristics — the values `collect` would put
 /// in the dataset's characteristic columns, which is what a [`WhatIfModel`]
 /// predicts from.
 pub type AppCharacteristics = Vec<(String, f64)>;
 
-/// Like [`workload_sweep`] but also returns each application's
-/// [`AppCharacteristics`].
+/// Builds the sweep of applications for a named workload, mirroring the
+/// paper's parameter ranges (`--quick` trims them for CI), with each
+/// application's [`AppCharacteristics`].
 pub fn workload_sweep_with_chars(
     workload: &str,
     quick: bool,
@@ -315,28 +290,14 @@ pub fn workload_sweep_with_chars(
 }
 
 /// Lints one workload sweep on a GPU: static analysis + diagnostics over
-/// every launch of every application, plus the oracle when requested.
+/// every launch of every application, plus the oracle, block attribution
+/// and what-if pricing as `cfg` asks.
 ///
 /// Launches that cannot be analyzed (malformed trace, impossible launch)
 /// produce a `BF-E001` error diagnostic instead of aborting the run.
-pub fn lint_workload(gpu: &GpuConfig, workload: &str, opts: LintOptions) -> Option<LintReport> {
-    lint_workload_with(gpu, workload, &opts.into())
-}
-
-/// [`lint_workload`] with the full configuration (blocks, what-if).
 pub fn lint_workload_with(gpu: &GpuConfig, workload: &str, cfg: &LintConfig) -> Option<LintReport> {
     let (apps, chars) = workload_sweep_with_chars(workload, cfg.quick)?;
     Some(lint_applications_with(gpu, workload, &apps, &chars, cfg))
-}
-
-/// Lints an explicit set of applications (v1-compatible entry point).
-pub fn lint_applications(
-    gpu: &GpuConfig,
-    workload: &str,
-    apps: &[Application],
-    opts: LintOptions,
-) -> LintReport {
-    lint_applications_with(gpu, workload, apps, &[], &opts.into())
 }
 
 /// Merged per-block accumulator keyed by (kernel, block id).
@@ -489,7 +450,9 @@ pub fn lint_applications_with(
             }
 
             if cfg.oracle {
-                match simulate_launch(gpu, kernel.as_ref()).map(|d| oracle::compare(&a, &d, i)) {
+                let dynamic =
+                    simulate_sampled_launch_with(gpu, &sampled.blocks, &EngineOptions::default());
+                match dynamic.map(|d| oracle::compare(&a, &d, i)) {
                     Ok(r) => {
                         if r.divergent() {
                             let detail: Vec<String> = r
@@ -805,6 +768,13 @@ mod tests {
         GpuConfig::gtx580()
     }
 
+    const QUICK: LintConfig = LintConfig {
+        quick: true,
+        oracle: false,
+        blocks: false,
+        what_if: None,
+    };
+
     fn codes(report: &LintReport) -> Vec<&str> {
         report
             .diagnostics
@@ -815,15 +785,7 @@ mod tests {
 
     #[test]
     fn reduce1_fires_bank_conflict_warning() {
-        let report = lint_workload(
-            &fermi(),
-            "reduce1",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "reduce1", &QUICK).unwrap();
         assert!(
             codes(&report).contains(&diag::BANK_CONFLICT),
             "{:?}",
@@ -841,15 +803,7 @@ mod tests {
     fn reduce2_fires_uncoalesced_warning() {
         // reduce2's block-result store writes one lane per block: 12.5%
         // store efficiency against 32B sectors.
-        let report = lint_workload(
-            &fermi(),
-            "reduce2",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "reduce2", &QUICK).unwrap();
         assert!(
             codes(&report).contains(&diag::UNCOALESCED),
             "{:?}",
@@ -859,15 +813,7 @@ mod tests {
 
     #[test]
     fn nw_fires_low_occupancy_and_uncoalesced_warnings() {
-        let report = lint_workload(
-            &fermi(),
-            "nw",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "nw", &QUICK).unwrap();
         let c = codes(&report);
         assert!(c.contains(&diag::LOW_OCCUPANCY), "{c:?}");
         assert!(c.contains(&diag::UNCOALESCED), "{c:?}");
@@ -875,36 +821,21 @@ mod tests {
 
     #[test]
     fn stencil_sweep_is_free_of_errors() {
-        let report = lint_workload(
-            &fermi(),
-            "stencil",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "stencil", &QUICK).unwrap();
         assert_eq!(report.summary.errors, 0);
         assert!(report.launches > 0);
     }
 
     #[test]
     fn unknown_workload_is_rejected() {
-        assert!(lint_workload(&fermi(), "fft", LintOptions::default()).is_none());
-        assert!(lint_workload(&fermi(), "reduce9", LintOptions::default()).is_none());
+        let cfg = LintConfig::default();
+        assert!(lint_workload_with(&fermi(), "fft", &cfg).is_none());
+        assert!(lint_workload_with(&fermi(), "reduce9", &cfg).is_none());
     }
 
     #[test]
     fn json_report_has_stable_top_level_schema() {
-        let report = lint_workload(
-            &fermi(),
-            "reduce6",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "reduce6", &QUICK).unwrap();
         let json = report.to_json();
         let v = report.serialize_value();
         for key in [
@@ -925,15 +856,7 @@ mod tests {
 
     #[test]
     fn text_rendering_mentions_every_code() {
-        let report = lint_workload(
-            &fermi(),
-            "nw",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let report = lint_workload_with(&fermi(), "nw", &QUICK).unwrap();
         let text = render_text(&report);
         for a in &report.diagnostics {
             assert!(text.contains(&a.diagnostic.code));
@@ -1114,15 +1037,7 @@ mod tests {
         assert_eq!(report.diagnostics[0].diagnostic.code, "BF-W001");
         assert!(report.diagnostics[0].diagnostic.cost.is_none());
         // And a report serialized today still carries every v1 field.
-        let now = lint_workload(
-            &fermi(),
-            "reduce1",
-            LintOptions {
-                quick: true,
-                oracle: false,
-            },
-        )
-        .unwrap();
+        let now = lint_workload_with(&fermi(), "reduce1", &QUICK).unwrap();
         for key in ["diagnostics", "kernels", "summary", "schema_version"] {
             assert!(now.to_json().contains(&format!("\"{key}\"")));
         }

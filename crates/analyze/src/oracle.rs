@@ -4,12 +4,15 @@
 //! stage produces from the sampled traces, and the cycle engine executes
 //! those ops, so for every counter with a static counterpart the two must
 //! agree to floating-point noise. This module turns that invariant into an
-//! executable check: [`compare`] diffs one launch, [`check_application`]
-//! sweeps a whole application, and any divergence is a simulator (or
-//! analyzer) bug — surfaced as a [`crate::diag::ORACLE_DIVERGENCE`] error
-//! diagnostic by the lint driver. The fold and the execute loop share the
-//! compile stage, so the test suite makes the oracle three-way: a reference
-//! interpreter that re-derives every count from the traces on its own
+//! executable check: [`compare`] diffs one launch over the counts that
+//! [`crate::walk::StaticCounts::raw_event_fields`] shares with the
+//! simulator's events, [`check_application`] sweeps a whole application
+//! (walking and simulating each launch from one [`SampledLaunch`]), and
+//! any divergence is a simulator (or analyzer) bug — surfaced as a
+//! [`crate::diag::ORACLE_DIVERGENCE`] error diagnostic by the lint driver.
+//! The fold and the execute loop share the compile stage, so the test
+//! suite makes the oracle three-way: a reference interpreter that
+//! re-derives every count from the traces on its own
 //! (`gpu-sim/tests/reference`) must match the walk bit for bit.
 //!
 //! Tolerances (documented in `DESIGN.md`): occupancy is compared **exactly**;
@@ -19,9 +22,11 @@
 //! Counters with no static counterpart (cache hits, DRAM reads, cycles,
 //! seconds) are out of scope by design.
 
-use crate::walk::{analyze_launch, StaticLaunchAnalysis};
+use crate::walk::{SampledLaunch, StaticLaunchAnalysis};
 use bf_kernels::Application;
-use gpu_sim::{simulate_launch, GpuConfig, KernelTrace, LaunchResult, RawEvents, Result};
+use gpu_sim::{
+    simulate_sampled_launch_with, EngineOptions, GpuConfig, KernelTrace, LaunchResult, Result,
+};
 use serde::Serialize;
 
 /// Relative tolerance for counter comparison: floating-point noise only.
@@ -89,69 +94,17 @@ fn check(counter: &'static str, static_value: f64, dynamic_value: f64) -> Counte
 /// perturbs a genuine `LaunchResult` and asserts the oracle notices, proving
 /// the harness has teeth.
 pub fn compare(a: &StaticLaunchAnalysis, dynamic: &LaunchResult, launch: usize) -> OracleReport {
-    let ev: &RawEvents = &dynamic.events;
-    let s = &a.counts;
     let occupancy_ok = a.occupancy.blocks_per_sm == dynamic.occupancy.blocks_per_sm
         && a.occupancy.warps_per_sm == dynamic.occupancy.warps_per_sm
         && a.occupancy.limiter == dynamic.occupancy.limiter
         && a.occupancy.theoretical == dynamic.occupancy.theoretical;
-    let checks = vec![
-        check("inst_executed", s.inst_executed, ev.inst_executed),
-        check("inst_issued", s.inst_issued, ev.inst_issued),
-        check(
-            "thread_inst_executed",
-            s.thread_inst_executed,
-            ev.thread_inst_executed,
-        ),
-        check("branch", s.branch, ev.branch),
-        check("divergent_branch", s.divergent_branch, ev.divergent_branch),
-        check("shared_load", s.shared_load, ev.shared_load),
-        check("shared_store", s.shared_store, ev.shared_store),
-        check(
-            "shared_load_replay",
-            s.shared_load_replay,
-            ev.shared_load_replay,
-        ),
-        check(
-            "shared_store_replay",
-            s.shared_store_replay,
-            ev.shared_store_replay,
-        ),
-        check("gld_request", s.gld_request, ev.gld_request),
-        check("gst_request", s.gst_request, ev.gst_request),
-        check(
-            "gld_requested_bytes",
-            s.gld_requested_bytes,
-            ev.gld_requested_bytes,
-        ),
-        check(
-            "gst_requested_bytes",
-            s.gst_requested_bytes,
-            ev.gst_requested_bytes,
-        ),
-        check(
-            "global_load_transactions",
-            s.global_load_transactions,
-            ev.global_load_transactions,
-        ),
-        check(
-            "global_store_transactions",
-            s.global_store_transactions,
-            ev.global_store_transactions,
-        ),
-        check(
-            "l2_write_transactions",
-            s.l2_write_transactions,
-            ev.l2_write_transactions,
-        ),
-        check(
-            "dram_write_transactions",
-            s.dram_write_transactions,
-            ev.dram_write_transactions,
-        ),
-        check("warps_launched", s.warps_launched, ev.warps_launched),
-        check("blocks_launched", s.blocks_launched, ev.blocks_launched),
-    ];
+    let dynamic = dynamic.events.as_array();
+    let checks = a
+        .counts
+        .raw_event_fields()
+        .into_iter()
+        .map(|(counter, i, value)| check(counter, value, dynamic[i]))
+        .collect();
     OracleReport {
         kernel: a.kernel.clone(),
         launch,
@@ -160,15 +113,16 @@ pub fn compare(a: &StaticLaunchAnalysis, dynamic: &LaunchResult, launch: usize) 
     }
 }
 
-/// Analyzes and simulates one launch, then diffs the two.
+/// Samples one launch once, then walks and simulates its blocks and diffs
+/// the two.
 pub fn check_launch(
     gpu: &GpuConfig,
     kernel: &dyn KernelTrace,
     launch: usize,
 ) -> Result<OracleReport> {
-    let a = analyze_launch(gpu, kernel)?;
-    let d = simulate_launch(gpu, kernel)?;
-    Ok(compare(&a, &d, launch))
+    let s = SampledLaunch::new(gpu, kernel)?;
+    let d = simulate_sampled_launch_with(gpu, &s.blocks, &EngineOptions::default())?;
+    Ok(compare(&s.walk(gpu), &d, launch))
 }
 
 /// Runs the oracle over every launch of an application.
@@ -183,7 +137,9 @@ pub fn check_application(gpu: &GpuConfig, app: &Application) -> Result<Vec<Oracl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk::analyze_launch;
     use bf_kernels::reduce::{reduce_application, ReduceVariant};
+    use gpu_sim::simulate_launch;
 
     #[test]
     fn oracle_agrees_on_a_reduce_launch() {

@@ -18,6 +18,7 @@
 //! on DRAM read traffic.
 
 use gpu_sim::coalesce::coalesce_into;
+use gpu_sim::counters::raw_event_field_names;
 use gpu_sim::occupancy::Occupancy;
 use gpu_sim::soa::{self, CompiledLaunch, Op, OpKind};
 use gpu_sim::trace::{KernelTrace, LaunchConfig, WarpInstruction};
@@ -36,164 +37,131 @@ pub struct Location {
     pub instruction: usize,
 }
 
-/// Statically derived event counts, scaled to the full grid. Field names
-/// match [`gpu_sim::RawEvents`] where a dynamic counterpart exists.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct StaticCounts {
-    /// Warp instructions executed.
-    pub inst_executed: f64,
-    /// Issue slots consumed (replays and per-transaction issues included).
-    pub inst_issued: f64,
-    /// Thread-level instructions (warp instructions x active lanes).
-    pub thread_inst_executed: f64,
-    /// Branch instructions.
-    pub branch: f64,
-    /// Divergent branch instructions.
-    pub divergent_branch: f64,
-    /// Shared-memory load instructions.
-    pub shared_load: f64,
-    /// Shared-memory store instructions.
-    pub shared_store: f64,
-    /// Shared load replays from bank conflicts.
-    pub shared_load_replay: f64,
-    /// Shared store replays from bank conflicts.
-    pub shared_store_replay: f64,
-    /// Global load requests (one per load instruction).
-    pub gld_request: f64,
-    /// Global store requests.
-    pub gst_request: f64,
-    /// Bytes requested by global loads (active lanes x width).
-    pub gld_requested_bytes: f64,
-    /// Bytes requested by global stores.
-    pub gst_requested_bytes: f64,
-    /// Global load transactions (128B L1 lines on Fermi, 32B sectors on
-    /// Kepler — the architecture's natural granularity).
-    pub global_load_transactions: f64,
-    /// Global store transactions (reported at up-to-128B granularity).
-    pub global_store_transactions: f64,
-    /// L2 write-transaction sectors (32B; write-through on both archs).
-    pub l2_write_transactions: f64,
-    /// DRAM write-transaction sectors (32B; mirrors L2 writes).
-    pub dram_write_transactions: f64,
-    /// Warps launched across the grid.
-    pub warps_launched: f64,
-    /// Blocks launched (= grid size).
-    pub blocks_launched: f64,
-    /// Barriers executed (static-only; folded into `inst_executed`).
-    pub barriers: f64,
-    /// Warp-level ALU+SFU instructions (static-only; drives the roofline
-    /// compute estimate).
-    pub alu_warp_instructions: f64,
-    /// Thread-level ALU+SFU operations (static-only; the "flops" numerator
-    /// of arithmetic intensity).
-    pub alu_thread_ops: f64,
-    /// Global-load traffic at the architecture's transaction granularity
-    /// (static-only; denominator of load efficiency).
-    pub load_traffic_bytes: f64,
-    /// Global-store traffic in 32B sectors (static-only).
-    pub store_traffic_bytes: f64,
-    /// No-cache upper bound on DRAM read traffic: 32B sectors per load
-    /// (static-only; feeds the roofline memory-time estimate).
-    pub dram_read_bytes_bound: f64,
+/// Declares [`StaticCounts`] from its one field list and derives every
+/// per-field routine from that list, as `for_each_raw_event_field!` does
+/// for [`gpu_sim::RawEvents`]. `raw_events` holds the counts the simulator
+/// also produces, under their `RawEvents` field names; `static_only` holds
+/// the counts only the walk derives.
+macro_rules! static_counts {
+    (
+        raw_events { $($(#[$rdoc:meta])* $r:ident,)* }
+        static_only { $($(#[$sdoc:meta])* $s:ident,)* }
+    ) => {
+        /// Statically derived event counts, scaled to the full grid. Field
+        /// names match [`gpu_sim::RawEvents`] where a dynamic counterpart
+        /// exists.
+        #[derive(Debug, Clone, Copy, Default, Serialize)]
+        pub struct StaticCounts {
+            $($(#[$rdoc])* pub $r: f64,)*
+            $($(#[$sdoc])* pub $s: f64,)*
+        }
+
+        impl StaticCounts {
+            const FIELDS: usize = [$(stringify!($r),)* $(stringify!($s),)*].len();
+            const RAW_EVENT_FIELDS: usize = [$(stringify!($r),)*].len();
+
+            /// Counter (name, value) pairs in declaration order: every
+            /// field, so the per-block attribution's conservation check
+            /// covers a newly added counter without further code.
+            pub fn fields(&self) -> [(&'static str, f64); StaticCounts::FIELDS] {
+                [$((stringify!($r), self.$r),)* $((stringify!($s), self.$s),)*]
+            }
+
+            /// The counts the simulator also produces, in declaration
+            /// order: (name, index into [`gpu_sim::RawEvents::as_array`],
+            /// value). The oracle diffs these against a launch's events,
+            /// and the what-if rows derive profiler counters from them.
+            pub fn raw_event_fields(
+                &self,
+            ) -> [(&'static str, usize, f64); StaticCounts::RAW_EVENT_FIELDS] {
+                [$((stringify!($r), raw_event_index(stringify!($r)), self.$r),)*]
+            }
+
+            /// Adds another count set field by field (used when summing
+            /// per-block attributions back into launch totals).
+            pub fn add(&mut self, other: &StaticCounts) {
+                $(self.$r += other.$r;)*
+                $(self.$s += other.$s;)*
+            }
+
+            pub(crate) fn scaled(&self, factor: f64) -> StaticCounts {
+                StaticCounts {
+                    $($r: self.$r * factor,)*
+                    $($s: self.$s * factor,)*
+                }
+            }
+        }
+    };
 }
 
-impl StaticCounts {
-    /// Counter (name, value) pairs in declaration order — the single source
-    /// of truth for iterating every field, used by the per-block attribution
-    /// conservation check so a newly added counter cannot silently escape
-    /// coverage (the array length is pinned to the struct).
-    pub fn fields(&self) -> [(&'static str, f64); 25] {
-        [
-            ("inst_executed", self.inst_executed),
-            ("inst_issued", self.inst_issued),
-            ("thread_inst_executed", self.thread_inst_executed),
-            ("branch", self.branch),
-            ("divergent_branch", self.divergent_branch),
-            ("shared_load", self.shared_load),
-            ("shared_store", self.shared_store),
-            ("shared_load_replay", self.shared_load_replay),
-            ("shared_store_replay", self.shared_store_replay),
-            ("gld_request", self.gld_request),
-            ("gst_request", self.gst_request),
-            ("gld_requested_bytes", self.gld_requested_bytes),
-            ("gst_requested_bytes", self.gst_requested_bytes),
-            ("global_load_transactions", self.global_load_transactions),
-            ("global_store_transactions", self.global_store_transactions),
-            ("l2_write_transactions", self.l2_write_transactions),
-            ("dram_write_transactions", self.dram_write_transactions),
-            ("warps_launched", self.warps_launched),
-            ("blocks_launched", self.blocks_launched),
-            ("barriers", self.barriers),
-            ("alu_warp_instructions", self.alu_warp_instructions),
-            ("alu_thread_ops", self.alu_thread_ops),
-            ("load_traffic_bytes", self.load_traffic_bytes),
-            ("store_traffic_bytes", self.store_traffic_bytes),
-            ("dram_read_bytes_bound", self.dram_read_bytes_bound),
-        ]
-    }
+/// Position of the `RawEvents` field `name` in
+/// [`gpu_sim::RawEvents::as_array`].
+fn raw_event_index(name: &str) -> usize {
+    raw_event_field_names()
+        .iter()
+        .position(|n| *n == name)
+        .unwrap_or_else(|| panic!("`{name}` is not a RawEvents field"))
+}
 
-    /// Adds another count set field-by-field (used when summing per-block
-    /// attributions back into launch totals).
-    pub fn add(&mut self, other: &StaticCounts) {
-        self.inst_executed += other.inst_executed;
-        self.inst_issued += other.inst_issued;
-        self.thread_inst_executed += other.thread_inst_executed;
-        self.branch += other.branch;
-        self.divergent_branch += other.divergent_branch;
-        self.shared_load += other.shared_load;
-        self.shared_store += other.shared_store;
-        self.shared_load_replay += other.shared_load_replay;
-        self.shared_store_replay += other.shared_store_replay;
-        self.gld_request += other.gld_request;
-        self.gst_request += other.gst_request;
-        self.gld_requested_bytes += other.gld_requested_bytes;
-        self.gst_requested_bytes += other.gst_requested_bytes;
-        self.global_load_transactions += other.global_load_transactions;
-        self.global_store_transactions += other.global_store_transactions;
-        self.l2_write_transactions += other.l2_write_transactions;
-        self.dram_write_transactions += other.dram_write_transactions;
-        self.warps_launched += other.warps_launched;
-        self.blocks_launched += other.blocks_launched;
-        self.barriers += other.barriers;
-        self.alu_warp_instructions += other.alu_warp_instructions;
-        self.alu_thread_ops += other.alu_thread_ops;
-        self.load_traffic_bytes += other.load_traffic_bytes;
-        self.store_traffic_bytes += other.store_traffic_bytes;
-        self.dram_read_bytes_bound += other.dram_read_bytes_bound;
+static_counts! {
+    raw_events {
+        /// Warp instructions executed.
+        inst_executed,
+        /// Issue slots consumed (replays and per-transaction issues included).
+        inst_issued,
+        /// Thread-level instructions (warp instructions x active lanes).
+        thread_inst_executed,
+        /// Branch instructions.
+        branch,
+        /// Divergent branch instructions.
+        divergent_branch,
+        /// Shared-memory load instructions.
+        shared_load,
+        /// Shared-memory store instructions.
+        shared_store,
+        /// Shared load replays from bank conflicts.
+        shared_load_replay,
+        /// Shared store replays from bank conflicts.
+        shared_store_replay,
+        /// Global load requests (one per load instruction).
+        gld_request,
+        /// Global store requests.
+        gst_request,
+        /// Bytes requested by global loads (active lanes x width).
+        gld_requested_bytes,
+        /// Bytes requested by global stores.
+        gst_requested_bytes,
+        /// Global load transactions (128B L1 lines on Fermi, 32B sectors on
+        /// Kepler — the architecture's natural granularity).
+        global_load_transactions,
+        /// Global store transactions (reported at up-to-128B granularity).
+        global_store_transactions,
+        /// L2 write-transaction sectors (32B; write-through on both archs).
+        l2_write_transactions,
+        /// DRAM write-transaction sectors (32B; mirrors L2 writes).
+        dram_write_transactions,
+        /// Warps launched across the grid.
+        warps_launched,
+        /// Blocks launched (= grid size).
+        blocks_launched,
     }
-
-    pub(crate) fn scaled(&self, factor: f64) -> StaticCounts {
-        let mut s = *self;
-        for f in [
-            &mut s.inst_executed,
-            &mut s.inst_issued,
-            &mut s.thread_inst_executed,
-            &mut s.branch,
-            &mut s.divergent_branch,
-            &mut s.shared_load,
-            &mut s.shared_store,
-            &mut s.shared_load_replay,
-            &mut s.shared_store_replay,
-            &mut s.gld_request,
-            &mut s.gst_request,
-            &mut s.gld_requested_bytes,
-            &mut s.gst_requested_bytes,
-            &mut s.global_load_transactions,
-            &mut s.global_store_transactions,
-            &mut s.l2_write_transactions,
-            &mut s.dram_write_transactions,
-            &mut s.warps_launched,
-            &mut s.blocks_launched,
-            &mut s.barriers,
-            &mut s.alu_warp_instructions,
-            &mut s.alu_thread_ops,
-            &mut s.load_traffic_bytes,
-            &mut s.store_traffic_bytes,
-            &mut s.dram_read_bytes_bound,
-        ] {
-            *f *= factor;
-        }
-        s
+    static_only {
+        /// Barriers executed (static-only; folded into `inst_executed`).
+        barriers,
+        /// Warp-level ALU+SFU instructions (static-only; drives the roofline
+        /// compute estimate).
+        alu_warp_instructions,
+        /// Thread-level ALU+SFU operations (static-only; the "flops" numerator
+        /// of arithmetic intensity).
+        alu_thread_ops,
+        /// Global-load traffic at the architecture's transaction granularity
+        /// (static-only; denominator of load efficiency).
+        load_traffic_bytes,
+        /// Global-store traffic in 32B sectors (static-only).
+        store_traffic_bytes,
+        /// No-cache upper bound on DRAM read traffic: 32B sectors per load
+        /// (static-only; feeds the roofline memory-time estimate).
+        dram_read_bytes_bound,
     }
 }
 
@@ -364,14 +332,18 @@ pub fn analyze_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<Stati
     Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu))
 }
 
-/// One launch's sampled blocks and their compiled ops: the prologue the
-/// launch walk and the per-block attribution ([`crate::attr`]) share, so a
-/// caller that wants both generates and compiles the traces once.
-pub(crate) struct SampledLaunch {
+/// One launch's sampled blocks and their compiled ops: the prologue every
+/// pass over a launch shares. The launch walk ([`SampledLaunch::walk`]),
+/// the per-block attribution ([`SampledLaunch::attribute`]) and the
+/// simulation the oracle diffs against
+/// ([`gpu_sim::simulate_sampled_launch_with`] over `blocks`) all read it, so
+/// a caller that wants several of them generates and compiles the traces
+/// once.
+pub struct SampledLaunch {
     /// Kernel name.
-    pub kernel: String,
+    pub(crate) kernel: String,
     /// The blocks the dynamic engine would simulate, and their traces.
-    pub blocks: SampledBlocks,
+    pub(crate) blocks: SampledBlocks,
     /// `blocks.traces` compiled by the engine's compile stage (which
     /// validates).
     compiled: CompiledLaunch,
@@ -391,13 +363,13 @@ impl SampledLaunch {
     }
 
     /// Grid scaling factor: grid blocks per sampled block.
-    pub fn scale(&self) -> f64 {
+    pub(crate) fn scale(&self) -> f64 {
         self.blocks.launch.grid_blocks as f64 / self.blocks.traces.len() as f64
     }
 
     /// Every sampled warp in walk order: where its stream starts, the
     /// stream, and its compiled ops (one per instruction).
-    pub fn warps(&self) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
+    pub(crate) fn warps(&self) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
         let streams = self
             .blocks
             .traces
@@ -726,7 +698,8 @@ mod tests {
         let mut launches = 0;
         for gpu in [GpuConfig::gtx580(), GpuConfig::v100()] {
             for workload in ["reduce1", "nw"] {
-                for app in crate::lint::workload_sweep(workload, true).unwrap() {
+                let (apps, _) = crate::lint::workload_sweep_with_chars(workload, true).unwrap();
+                for app in apps {
                     for kernel in &app.launches {
                         let kernel = kernel.as_ref();
                         let sampled = SampledLaunch::new(&gpu, kernel).unwrap();

@@ -18,7 +18,7 @@
 use crate::diag;
 use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis};
 use bf_kernels::Application;
-use gpu_sim::counters::{raw_event_field_names, RAW_EVENT_FIELDS};
+use gpu_sim::counters::RAW_EVENT_FIELDS;
 use gpu_sim::profiler::derive_counters;
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 use gpu_sim::{GpuConfig, RawEvents, Result};
@@ -178,16 +178,14 @@ const STATIC_COUNTERS: [&str; 20] = [
 
 /// The statically exact subset of the profiler's named counters on `gpu`:
 /// the static counts fill a [`RawEvents`] under their shared field names
-/// (timing and cache events stay zero), the profiler's own
-/// [`derive_counters`] names them, and the [`STATIC_COUNTERS`] are kept —
-/// the entries a [`WhatIfModel`] overrides in the model's counter row.
+/// ([`StaticCounts::raw_event_fields`]; timing and cache events stay
+/// zero), the profiler's own [`derive_counters`] names them, and the
+/// `STATIC_COUNTERS` are kept — the entries a [`WhatIfModel`] overrides
+/// in the model's counter row.
 pub fn static_counter_values(gpu: &GpuConfig, c: &StaticCounts) -> Vec<(String, f64)> {
-    let names = raw_event_field_names();
     let mut events = [0.0; RAW_EVENT_FIELDS];
-    for (name, value) in c.fields() {
-        if let Some(i) = names.iter().position(|n| *n == name) {
-            events[i] = value;
-        }
+    for (_, i, value) in c.raw_event_fields() {
+        events[i] = value;
     }
     derive_counters(gpu, &RawEvents::from_array(events))
         .iter()

@@ -9,7 +9,7 @@
 //! sweep pins the invariant across the paper's workloads on both GPU
 //! generations.
 
-use bf_analyze::{analyze_launch, attribute_launch, check_conservation, workload_sweep};
+use bf_analyze::{analyze_launch, attribute_launch, check_conservation, workload_sweep_with_chars};
 use gpu_sim::trace::{BlockTrace, KernelTrace, LaunchConfig, WarpInstruction};
 use gpu_sim::GpuConfig;
 use proptest::prelude::*;
@@ -220,7 +220,7 @@ fn conservation_holds_across_paper_workloads_on_every_architecture() {
             "reduce0", "reduce1", "reduce2", "reduce3", "reduce4", "reduce5", "reduce6", "nw",
             "stencil",
         ] {
-            let apps = workload_sweep(workload, true).unwrap();
+            let (apps, _) = workload_sweep_with_chars(workload, true).unwrap();
             for app in &apps {
                 for (i, kernel) in app.launches.iter().enumerate() {
                     let launch = analyze_launch(&gpu, kernel.as_ref()).unwrap();

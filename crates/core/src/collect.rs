@@ -165,6 +165,8 @@ pub fn dataset_from_observations(
 /// [`CollectOptions::include_static_features`]): launch-level analyses are
 /// aggregated over the application — sums for counts, totals-ratio for
 /// efficiencies, warp-weighted mean for occupancy, max for conflict degree.
+/// Each launch is sampled and compiled once, for both its walk and its
+/// basic-block attribution.
 fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f64)>> {
     let mut occ_weighted = 0.0f64;
     let mut warps = 0.0f64;
@@ -176,9 +178,12 @@ fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f6
     let mut alu_ops = 0.0f64;
     let mut dram_bytes = 0.0f64;
     let mut inst = 0.0f64;
+    let mut block_analyses = Vec::with_capacity(app.launches.len());
     for (i, kernel) in app.launches.iter().enumerate() {
-        let a = bf_analyze::analyze_launch(gpu, kernel.as_ref())
+        let sampled = bf_analyze::SampledLaunch::new(gpu, kernel.as_ref())
             .map_err(|e| e.in_kernel(&kernel.name(), i))?;
+        let a = sampled.walk(gpu);
+        block_analyses.push(sampled.attribute(gpu));
         occ_weighted += a.occupancy.theoretical * a.counts.warps_launched;
         warps += a.counts.warps_launched;
         max_degree = max_degree.max(a.shared.max_degree);
@@ -192,7 +197,7 @@ fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f6
     }
     // Basic-block shape of the application: how concentrated the attributed
     // cost is (share of the hottest block) and how many blocks dominate.
-    let blocks = bf_analyze::application_block_profile(gpu, app)?;
+    let blocks = bf_analyze::block_profile(&block_analyses);
     Ok(vec![
         (
             "static_occupancy".to_string(),

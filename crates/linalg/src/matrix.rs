@@ -150,12 +150,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrows the raw row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);

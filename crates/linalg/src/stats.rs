@@ -26,11 +26,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Mean squared error between predictions and observations.
 pub fn mse(pred: &[f64], obs: &[f64]) -> f64 {
     debug_assert_eq!(pred.len(), obs.len());

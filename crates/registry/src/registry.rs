@@ -497,19 +497,6 @@ impl Registry {
         })
     }
 
-    /// Drops an alias (models stay loaded).
-    pub fn drop_alias(&self, alias: &str) -> Result<(), RegistryError> {
-        self.publish(|table| {
-            table
-                .aliases
-                .remove(alias)
-                .map(|_| ())
-                .ok_or(RegistryError::UnknownAlias {
-                    alias: alias.to_string(),
-                })
-        })
-    }
-
     /// Resolves an id or alias against the current table (slow path; the
     /// serving threads use [`RegistryReader::resolve`]).
     pub fn resolve(&self, key: &str) -> Result<Resolved, RegistryError> {

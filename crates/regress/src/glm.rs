@@ -144,82 +144,6 @@ impl LinearModel {
     }
 }
 
-/// Convenience wrapper: a univariate polynomial model `y ~ poly(x, degree)`,
-/// with automatic degree selection by leave-one-out-style adjusted R².
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PolynomialModel {
-    inner: LinearModel,
-    /// Chosen polynomial degree.
-    pub degree: u32,
-}
-
-impl PolynomialModel {
-    /// Fits `y ~ 1 + x + … + x^degree` on scalar observations.
-    pub fn fit(x: &[f64], y: &[f64], degree: u32) -> Result<PolynomialModel> {
-        let rows: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
-        let basis = Basis::polynomial(0, degree);
-        Ok(PolynomialModel {
-            inner: LinearModel::fit(&basis, &rows, y)?,
-            degree,
-        })
-    }
-
-    /// Fits polynomials of degree 1..=max_degree and keeps the one with the
-    /// best adjusted R², preferring lower degrees on ties. This mirrors how a
-    /// practitioner picks the simplest adequate `glm` for a counter.
-    pub fn fit_auto(x: &[f64], y: &[f64], max_degree: u32) -> Result<PolynomialModel> {
-        if x.len() != y.len() || x.is_empty() {
-            return Err(RegressError::BadTrainingData(
-                "empty or mismatched input".into(),
-            ));
-        }
-        let mut best: Option<(f64, PolynomialModel)> = None;
-        // Degrees beyond n-2 have no degrees of freedom left.
-        let cap = max_degree.min(x.len().saturating_sub(2).max(1) as u32);
-        for degree in 1..=cap {
-            let model = PolynomialModel::fit(x, y, degree)?;
-            let n = x.len() as f64;
-            let k = degree as f64 + 1.0;
-            let r2 = model.inner.r_squared();
-            let adj = if n - k - 1.0 > 0.0 {
-                1.0 - (1.0 - r2) * (n - 1.0) / (n - k - 1.0)
-            } else {
-                r2
-            };
-            // Require a meaningful gain to accept a higher degree.
-            if best.as_ref().is_none_or(|(b, _)| adj > b + 1e-6) {
-                best = Some((adj, model));
-            }
-        }
-        Ok(best.expect("at least degree 1 evaluated").1)
-    }
-
-    /// Predicts at one scalar input.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.inner.predict_row(&[x])
-    }
-
-    /// Training R².
-    pub fn r_squared(&self) -> f64 {
-        self.inner.r_squared()
-    }
-
-    /// Residual deviance (RSS).
-    pub fn residual_deviance(&self) -> f64 {
-        self.inner.residual_deviance
-    }
-
-    /// Mean residual deviance per observation.
-    pub fn mean_residual_deviance(&self) -> f64 {
-        self.inner.mean_residual_deviance()
-    }
-
-    /// Borrow the underlying linear model.
-    pub fn linear_model(&self) -> &LinearModel {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,28 +161,11 @@ mod tests {
 
     #[test]
     fn recovers_cubic() {
-        let x: Vec<f64> = (0..30).map(|i| i as f64 / 3.0).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 1.0 - v + 0.5 * v * v * v).collect();
-        let m = PolynomialModel::fit(&x, &y, 3).unwrap();
+        let x: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 3.0]).collect();
+        let y: Vec<f64> = x.iter().map(|r| 1.0 - r[0] + 0.5 * r[0].powi(3)).collect();
+        let m = LinearModel::fit(&Basis::polynomial(0, 3), &x, &y).unwrap();
         assert!(m.r_squared() > 0.999999);
-        assert!((m.predict(5.0) - (1.0 - 5.0 + 0.5 * 125.0)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn auto_degree_prefers_simplest_adequate() {
-        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|&v| 3.0 * v + 1.0).collect();
-        let m = PolynomialModel::fit_auto(&x, &y, 5).unwrap();
-        assert_eq!(m.degree, 1);
-    }
-
-    #[test]
-    fn auto_degree_finds_quadratic() {
-        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|&v| v * v).collect();
-        let m = PolynomialModel::fit_auto(&x, &y, 5).unwrap();
-        assert!(m.degree >= 2);
-        assert!(m.r_squared() > 0.99999);
+        assert!((m.predict_row(&[5.0]) - (1.0 - 5.0 + 0.5 * 125.0)).abs() < 1e-5);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 pub mod glm;
 pub mod mars;
 
-pub use glm::{Basis, LinearModel, PolynomialModel};
+pub use glm::{Basis, LinearModel};
 pub use mars::{Mars, MarsParams};
 
 /// Errors produced by the regression fitters.

@@ -6,7 +6,7 @@ use blackforest_suite::gpu_sim::banks::{conflict_degree_scratch, BankScratch};
 use blackforest_suite::gpu_sim::coalesce::coalesce_into;
 use blackforest_suite::linalg::{stats, Matrix, SymmetricEigen};
 use blackforest_suite::pca::{varimax, varimax::varimax_criterion, Pca, PcaOptions};
-use blackforest_suite::regress::{Mars, MarsParams, PolynomialModel};
+use blackforest_suite::regress::{Basis, LinearModel, Mars, MarsParams};
 use proptest::prelude::*;
 
 proptest! {
@@ -100,18 +100,19 @@ proptest! {
         }
     }
 
-    /// Polynomial GLM trained on exact polynomial data recovers it.
+    /// A GLM over a polynomial basis, trained on exact polynomial data,
+    /// recovers it.
     #[test]
     fn glm_recovers_polynomials(
         c0 in -10.0f64..10.0,
         c1 in -5.0f64..5.0,
         c2 in -1.0f64..1.0,
     ) {
-        let xs: Vec<f64> = (0..30).map(|i| i as f64 / 3.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| c0 + c1 * x + c2 * x * x).collect();
-        let m = PolynomialModel::fit(&xs, &ys, 2).unwrap();
+        let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 3.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|r| c0 + c1 * r[0] + c2 * r[0] * r[0]).collect();
+        let m = LinearModel::fit(&Basis::polynomial(0, 2), &xs, &ys).unwrap();
         prop_assert!(m.r_squared() > 1.0 - 1e-6);
-        let p = m.predict(12.5);
+        let p = m.predict_row(&[12.5]);
         let t = c0 + c1 * 12.5 + c2 * 12.5 * 12.5;
         prop_assert!((p - t).abs() < 1e-4 * (1.0 + t.abs()));
     }

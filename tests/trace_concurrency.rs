@@ -6,8 +6,9 @@
 //!    lose, duplicate, or re-parent one. Cache hit/miss counters are only
 //!    compared as a sum (racing workers may double-compute a launch, so the
 //!    split is scheduling-dependent, but every lookup is still counted), and
-//!    the per-compile engine-phase spans — emitted once per cache miss — are
-//!    held to consistency (all four phases equal, parallel ≥ sequential)
+//!    the spans that run only on a cache miss (re-sampling, the steady-state
+//!    probes, and the engine's compile and execute phases) are held to
+//!    consistency (equal counts within each group, parallel ≥ sequential)
 //!    rather than exact equality, for the same reason.
 //!
 //! 2. **Observer effect: none.** Running the full quick pipeline with
@@ -36,12 +37,22 @@ fn quick_collect() -> blackforest_suite::blackforest::Dataset {
     .expect("collect_reduce")
 }
 
-/// Spans emitted once per engine *compile* — i.e. per memo-cache miss. The
-/// hit/miss split is scheduling-dependent (racing workers may double-compute
-/// a launch, see the module comment), so these counts can legitimately
-/// differ across thread counts; they are compared for internal consistency
-/// instead of exact equality.
-const COMPILE_PHASES: [&str; 4] = ["trace_walk", "coalesce", "banks", "issue_loop"];
+/// Every span that runs only on the miss path of
+/// `gpu_sim::memo::simulate_launch_cached`, grouped by how often one miss
+/// emits it. The hit/miss split is scheduling-dependent (racing workers may
+/// double-compute a launch, see the module comment), so these counts can
+/// legitimately differ across thread counts; they are compared for internal
+/// consistency instead of exact equality. All are leaves of `launch`.
+const MISS_PATH: [&[&str]; 3] = [
+    // Once per miss: re-sampling a tagged kernel's blocks, and the
+    // steady-state period probe in `steady::try_extrapolate`.
+    &["sample_blocks", "steady.period"],
+    // Up to three per extrapolation attempt: the truncated probe sets.
+    &["steady.truncate"],
+    // Once per resident-set simulation (`soa::compile`, then
+    // `soa::execute`): the full set and each probe.
+    &["validate", "trace_walk", "coalesce", "banks", "issue_loop"],
+];
 
 #[test]
 fn tracing_is_deterministic_across_threads_and_invisible_to_results() {
@@ -61,31 +72,38 @@ fn tracing_is_deterministic_across_threads_and_invisible_to_results() {
             .filter(|(name, _)| name.starts_with("sim_cache."))
             .map(|(_, v)| v)
             .sum();
-        // Per-compile phase spans ride with the misses: strip them (they
-        // are leaves, so no child is re-parented) and keep their counts
-        // aside for the consistency check below.
-        let compiles: Vec<u64> = COMPILE_PHASES
+        // Miss-path spans ride with the misses: strip them (they are
+        // leaves, so no child is re-parented) and keep their counts aside
+        // for the consistency check below.
+        let misses: Vec<Vec<u64>> = MISS_PATH
             .iter()
-            .map(|p| trace.spans.iter().filter(|s| s.name == *p).count() as u64)
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|p| trace.spans.iter().filter(|s| s.name == *p).count() as u64)
+                    .collect()
+            })
             .collect();
-        trace.spans.retain(|s| !COMPILE_PHASES.contains(&s.name));
+        trace
+            .spans
+            .retain(|s| !MISS_PATH.iter().any(|group| group.contains(&s.name)));
         runs.push((
             threads,
             ds,
             trace.multiset(),
             trace.topology(),
             cache_events,
-            compiles,
+            misses,
         ));
     }
     std::env::remove_var("RAYON_NUM_THREADS");
 
-    let (_, seq_ds, seq_multiset, seq_topology, seq_events, seq_compiles) = &runs[0];
+    let (_, seq_ds, seq_multiset, seq_topology, seq_events, seq_misses) = &runs[0];
     assert!(
-        seq_compiles[0] > 0 && seq_compiles.iter().all(|c| c == &seq_compiles[0]),
-        "every compile emits all four phase spans exactly once: {seq_compiles:?}"
+        seq_misses[0][0] > 0 && seq_misses.iter().all(|g| g.iter().all(|c| c == &g[0])),
+        "each miss-path group emits its spans equally often: {seq_misses:?}"
     );
-    for (threads, ds, multiset, topology, events, compiles) in &runs[1..] {
+    for (threads, ds, multiset, topology, events, misses) in &runs[1..] {
         assert_eq!(
             multiset, seq_multiset,
             "span multiset differs between 1 and {threads} threads"
@@ -100,18 +118,18 @@ fn tracing_is_deterministic_across_threads_and_invisible_to_results() {
             events, seq_events,
             "total cache events differ between 1 and {threads} threads"
         );
-        // Compile phases stay mutually consistent, and a parallel run can
-        // only add double-computed compiles, never lose one.
-        assert!(
-            compiles.iter().all(|c| c == &compiles[0]),
-            "{threads}-thread run has unbalanced compile phases: {compiles:?}"
-        );
-        assert!(
-            compiles[0] >= seq_compiles[0],
-            "{threads}-thread run lost compiles: {} < {}",
-            compiles[0],
-            seq_compiles[0]
-        );
+        // Miss-path spans stay mutually consistent, and a parallel run can
+        // only add double-computed misses, never lose one.
+        for (group, seq_group) in misses.iter().zip(seq_misses) {
+            assert!(
+                group.iter().all(|c| c == &group[0]),
+                "{threads}-thread run has unbalanced miss-path spans: {misses:?}"
+            );
+            assert!(
+                group[0] >= seq_group[0],
+                "{threads}-thread run lost misses: {misses:?} < {seq_misses:?}"
+            );
+        }
         // The data itself is identical too, of course.
         assert_eq!(ds.response, seq_ds.response);
     }

@@ -16,7 +16,7 @@
 //! BF_UPDATE_GOLDEN=1 cargo test --test trace_digests
 //! ```
 
-use blackforest_suite::analyze::{workload_sweep, WORKLOADS};
+use blackforest_suite::analyze::{workload_sweep_with_chars, WORKLOADS};
 use blackforest_suite::gpu_sim::{sample_blocks, Bf128Hasher, GpuConfig};
 use blackforest_suite::kernels::TRACE_GEN_VERSION;
 use std::fmt::Write as _;
@@ -30,7 +30,7 @@ const GOLDEN: &str = "trace_digests.txt";
 /// One line per (preset, workload): launch and block counts plus the digest
 /// of everything `sample_blocks` returned for the sweep's launches.
 fn digest_line(gpu: &GpuConfig, workload: &str) -> String {
-    let apps = workload_sweep(workload, true).expect("known workload");
+    let (apps, _) = workload_sweep_with_chars(workload, true).expect("known workload");
     let mut h = Bf128Hasher::new();
     let (mut launches, mut blocks) = (0usize, 0usize);
     for app in &apps {
