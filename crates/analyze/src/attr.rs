@@ -1,6 +1,6 @@
 //! Per-basic-block counter attribution with a hard conservation invariant.
 //!
-//! [`crate::walk::analyze_launch`] blames whole launches; this module splits
+//! [`crate::walk::analyze_sampled`] blames whole launches; this module splits
 //! the same fold by basic block. Each warp stream is segmented at
 //! `Branch`/`Barrier` boundaries ([`gpu_sim::blocks`]), the compiled op of
 //! every instruction is folded into its block's accumulator by the same
@@ -24,12 +24,12 @@
 
 use crate::oracle::REL_TOLERANCE;
 use crate::walk::{
-    fold_op, Accumulator, CoalescingSummary, DivergenceSummary, Location, SampledLaunch,
+    fold_op, warps, Accumulator, CoalescingSummary, DivergenceSummary, Location,
     SharedConflictSummary, StaticCounts, StaticLaunchAnalysis,
 };
 use gpu_sim::blocks::{block_content_id, segment_stream};
 use gpu_sim::trace::KernelTrace;
-use gpu_sim::{GpuConfig, Result};
+use gpu_sim::{GpuConfig, Result, SampledLaunch};
 use serde::Serialize;
 
 /// A block qualifies as "hot" at application level when it carries at least
@@ -113,6 +113,11 @@ impl BlockLevelAnalysis {
             .unwrap_or(0.0)
     }
 
+    /// Each block's id and full-grid-scaled attributed cost, in cost order.
+    pub fn scaled_costs(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.blocks.iter().map(|b| (b.id, b.cost() * self.scale))
+    }
+
     /// Sums the per-block counters and applies the grid scale — by
     /// construction this must equal the launch-level totals (see
     /// [`check_conservation`]).
@@ -132,7 +137,7 @@ pub struct ConservationCheck {
     pub counter: &'static str,
     /// Scaled sum of the per-block attributions.
     pub attributed: f64,
-    /// Launch-level total from [`analyze_launch`].
+    /// Launch-level total from [`crate::walk::analyze_sampled`].
     pub launch_total: f64,
     /// `|attributed - launch_total| / max(|launch_total|, 1)`.
     pub rel_error: f64,
@@ -167,15 +172,11 @@ pub fn check_conservation(
         .collect()
 }
 
-/// Attributes one launch's static counters to basic blocks.
-///
-/// Folds exactly the ops [`analyze_launch`] folds, in the same order, with
-/// the same `fold_op` — only the destination accumulator differs (the
-/// instruction's enclosing basic block instead of the launch).
-///
-/// [`analyze_launch`]: crate::walk::analyze_launch
+/// Attributes one launch's static counters to basic blocks: samples and
+/// compiles it ([`SampledLaunch::new`]), then attributes it
+/// ([`attribute_sampled`]).
 pub fn attribute_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<BlockLevelAnalysis> {
-    Ok(SampledLaunch::new(gpu, kernel)?.attribute(gpu))
+    Ok(attribute_sampled(gpu, &SampledLaunch::new(gpu, kernel)?))
 }
 
 /// A basic block being accumulated: where it was first seen, its length,
@@ -188,102 +189,103 @@ struct BlockAcc {
     acc: Accumulator,
 }
 
-impl SampledLaunch {
-    /// The per-basic-block counting fold over the compiled ops; the traces
-    /// give the block boundaries.
-    pub fn attribute(&self, gpu: &GpuConfig) -> BlockLevelAnalysis {
-        let mut blocks: Vec<BlockAcc> = Vec::new();
-        // id -> index into `blocks`; linear scan is fine at trace block
-        // counts (tens of distinct blocks), and it keeps first-seen order
-        // deterministic.
-        let find =
-            |blocks: &mut Vec<BlockAcc>, id: u64, first_seen: Location, len: usize| match blocks
-                .iter()
-                .position(|b| b.id == id)
-            {
-                Some(i) => i,
-                None => {
-                    blocks.push(BlockAcc {
-                        id,
-                        first_seen,
-                        instructions: len,
-                        occurrences: 0,
-                        acc: Accumulator::default(),
-                    });
-                    blocks.len() - 1
-                }
+/// The per-basic-block counting fold over a sampled launch's compiled ops;
+/// the traces give the block boundaries.
+///
+/// Folds exactly the ops [`crate::walk::analyze_sampled`] folds, in the same order, with
+/// the same `fold_op` — only the destination accumulator differs (the
+/// instruction's enclosing basic block instead of the launch).
+pub fn attribute_sampled(gpu: &GpuConfig, s: &SampledLaunch) -> BlockLevelAnalysis {
+    let mut blocks: Vec<BlockAcc> = Vec::new();
+    // id -> index into `blocks`; linear scan is fine at trace block
+    // counts (tens of distinct blocks), and it keeps first-seen order
+    // deterministic.
+    let find = |blocks: &mut Vec<BlockAcc>, id: u64, first_seen: Location, len: usize| match blocks
+        .iter()
+        .position(|b| b.id == id)
+    {
+        Some(i) => i,
+        None => {
+            blocks.push(BlockAcc {
+                id,
+                first_seen,
+                instructions: len,
+                occurrences: 0,
+                acc: Accumulator::default(),
+            });
+            blocks.len() - 1
+        }
+    };
+    // Id of the synthetic entry block used when a warp stream is empty:
+    // launch-structural counters still need an owner.
+    let empty_id = block_content_id(&[]);
+
+    let mut sectors = Vec::new();
+    let mut warps = warps(s);
+    for (trace, &grid_block) in s.traces().iter().zip(s.ids()) {
+        if trace.warps.is_empty() {
+            // A degenerate warpless trace still counts as a launched
+            // block.
+            let loc = Location {
+                block: grid_block,
+                warp: 0,
+                instruction: 0,
             };
-        // Id of the synthetic entry block used when a warp stream is empty:
-        // launch-structural counters still need an owner.
-        let empty_id = block_content_id(&[]);
-
-        let mut sectors = Vec::new();
-        let mut warps = self.warps();
-        for (trace, &grid_block) in self.blocks.traces.iter().zip(&self.blocks.ids) {
-            if trace.warps.is_empty() {
-                // A degenerate warpless trace still counts as a launched
-                // block.
-                let loc = Location {
-                    block: grid_block,
-                    warp: 0,
-                    instruction: 0,
-                };
-                let entry = find(&mut blocks, empty_id, loc, 0);
+            let entry = find(&mut blocks, empty_id, loc, 0);
+            blocks[entry].acc.counts.blocks_launched += 1.0;
+            continue;
+        }
+        for (entry_loc, stream, ops) in warps.by_ref().take(trace.warps.len()) {
+            let spans = segment_stream(stream);
+            // Launch-structural attribution: this warp to its entry
+            // block, and (for warp 0) the thread block itself.
+            let entry = match spans.first() {
+                Some(s) => find(&mut blocks, s.id, entry_loc, s.len()),
+                None => find(&mut blocks, empty_id, entry_loc, 0),
+            };
+            blocks[entry].acc.counts.warps_launched += 1.0;
+            if entry_loc.warp == 0 {
                 blocks[entry].acc.counts.blocks_launched += 1.0;
-                continue;
             }
-            for (entry_loc, stream, ops) in warps.by_ref().take(trace.warps.len()) {
-                let spans = segment_stream(stream);
-                // Launch-structural attribution: this warp to its entry
-                // block, and (for warp 0) the thread block itself.
-                let entry = match spans.first() {
-                    Some(s) => find(&mut blocks, s.id, entry_loc, s.len()),
-                    None => find(&mut blocks, empty_id, entry_loc, 0),
+            for span in &spans {
+                let loc = |instruction| Location {
+                    instruction,
+                    ..entry_loc
                 };
-                blocks[entry].acc.counts.warps_launched += 1.0;
-                if entry_loc.warp == 0 {
-                    blocks[entry].acc.counts.blocks_launched += 1.0;
-                }
-                for span in &spans {
-                    let loc = |instruction| Location {
-                        instruction,
-                        ..entry_loc
-                    };
-                    let idx = find(&mut blocks, span.id, loc(span.start), span.len());
-                    let b = &mut blocks[idx];
-                    b.occurrences += 1;
-                    for i in span.start..span.end {
-                        fold_op(gpu, &ops[i], &stream[i], loc(i), &mut b.acc, &mut sectors);
-                    }
+                let idx = find(&mut blocks, span.id, loc(span.start), span.len());
+                let b = &mut blocks[idx];
+                b.occurrences += 1;
+                for i in span.start..span.end {
+                    fold_op(gpu, &ops[i], &stream[i], loc(i), &mut b.acc, &mut sectors);
                 }
             }
         }
+    }
 
-        let mut blocks: Vec<BlockAttribution> = blocks
-            .into_iter()
-            .map(|b| BlockAttribution {
-                id: b.id,
-                first_seen: b.first_seen,
-                instructions: b.instructions,
-                occurrences: b.occurrences,
-                counts: b.acc.counts,
-                shared: b.acc.shared,
-                loads: b.acc.loads,
-                stores: b.acc.stores,
-                divergence: b.acc.divergence,
-            })
-            .collect();
-        blocks.sort_by(|a, b| {
-            b.cost()
-                .partial_cmp(&a.cost())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        BlockLevelAnalysis {
-            kernel: self.kernel.clone(),
-            scale: self.scale(),
-            blocks,
-        }
+    let mut blocks: Vec<BlockAttribution> = blocks
+        .into_iter()
+        .map(|b| BlockAttribution {
+            id: b.id,
+            first_seen: b.first_seen,
+            instructions: b.instructions,
+            occurrences: b.occurrences,
+            counts: b.acc.counts,
+            shared: b.acc.shared,
+            loads: b.acc.loads,
+            stores: b.acc.stores,
+            divergence: b.acc.divergence,
+        })
+        .collect();
+    blocks.sort_by(|a, b| {
+        b.cost()
+            .partial_cmp(&a.cost())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.id.cmp(&b.id))
+    });
+    BlockLevelAnalysis {
+        kernel: s.kernel().to_string(),
+        scale: s.scale(),
+        blocks,
     }
 }
 
@@ -300,18 +302,16 @@ pub struct AppBlockProfile {
     pub hot_block_count: usize,
 }
 
-/// Rolls per-launch block analyses up to one application profile. Costs are
+/// Rolls per-launch block costs ([`BlockLevelAnalysis::scaled_costs`] of
+/// each launch, in launch order) up to one application profile. Costs are
 /// scaled to the full grid before merging so launches of different grid
 /// sizes weigh in proportionally.
-pub fn block_profile(analyses: &[BlockLevelAnalysis]) -> AppBlockProfile {
+pub fn block_profile(costs: impl IntoIterator<Item = (u64, f64)>) -> AppBlockProfile {
     let mut per_block: Vec<(u64, f64)> = Vec::new();
-    for a in analyses {
-        for b in &a.blocks {
-            let cost = b.cost() * a.scale;
-            match per_block.iter_mut().find(|(id, _)| *id == b.id) {
-                Some((_, c)) => *c += cost,
-                None => per_block.push((b.id, cost)),
-            }
+    for (block, cost) in costs {
+        match per_block.iter_mut().find(|(id, _)| *id == block) {
+            Some((_, c)) => *c += cost,
+            None => per_block.push((block, cost)),
         }
     }
     let total: f64 = per_block.iter().map(|(_, c)| c).sum();
@@ -380,7 +380,7 @@ mod tests {
             .iter()
             .map(|k| attribute_launch(&gpu, k.as_ref()).unwrap())
             .collect();
-        let p = block_profile(&analyses);
+        let p = block_profile(analyses.iter().flat_map(BlockLevelAnalysis::scaled_costs));
         assert!(p.distinct_blocks >= 2);
         assert!(p.top_block_cost_share > 0.0 && p.top_block_cost_share <= 1.0);
         assert!(p.hot_block_count >= 1);

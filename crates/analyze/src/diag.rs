@@ -22,7 +22,9 @@
 //! launch they actually touch.
 
 use crate::attr::{BlockAttribution, BlockLevelAnalysis};
-use crate::walk::{Location, StaticLaunchAnalysis};
+use crate::walk::{
+    CoalescingSummary, DivergenceSummary, Location, SharedConflictSummary, StaticLaunchAnalysis,
+};
 use gpu_sim::occupancy::OccupancyLimiter;
 use gpu_sim::{GpuConfig, SimError};
 use serde::{Deserialize, Serialize, Value};
@@ -55,6 +57,22 @@ pub const DIVERGENCE_THRESHOLD: f64 = 0.2;
 /// A block's attributed cost share at or above this raises [`HOT_BLOCK`]
 /// (only meaningful when the launch has more than one block).
 pub const HOT_BLOCK_THRESHOLD: f64 = 0.5;
+
+/// Whether a profile raises [`BANK_CONFLICT`] (some access of degree >= 2).
+pub(crate) fn bank_conflicted(shared: &SharedConflictSummary) -> bool {
+    shared.max_degree >= 2
+}
+
+/// Whether a load or store profile raises [`UNCOALESCED`].
+pub(crate) fn uncoalesced(summary: &CoalescingSummary) -> bool {
+    summary.requests > 0 && summary.efficiency() < COALESCING_THRESHOLD
+}
+
+/// The divergent share of a profile's branches, when it raises [`DIVERGENCE`].
+pub(crate) fn divergent_share(divergence: &DivergenceSummary) -> Option<f64> {
+    let share = divergence.divergent as f64 / divergence.branches as f64;
+    (divergence.branches > 0 && share >= DIVERGENCE_THRESHOLD).then_some(share)
+}
 
 /// How bad a diagnostic is; orders `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -272,7 +290,7 @@ fn mechanism_warnings(out: &mut Vec<Diagnostic>, span: &Span, scope: &Scope) {
         });
     };
 
-    if shared.max_degree >= 2 {
+    if bank_conflicted(shared) {
         let message = format!(
             "{}-way shared-memory bank conflict{words} ({} of {} shared accesses conflicted){}",
             shared.max_degree,
@@ -283,7 +301,7 @@ fn mechanism_warnings(out: &mut Vec<Diagnostic>, span: &Span, scope: &Scope) {
         warn(BANK_CONFLICT, shared.worst, message, BANK_CONFLICT_HINT);
     }
     for (what, summary, hint) in [("load", loads, LOAD_HINT), ("store", stores, STORE_HINT)] {
-        if summary.requests > 0 && summary.efficiency() < COALESCING_THRESHOLD {
+        if uncoalesced(summary) {
             let message = format!(
                 "uncoalesced global {what}s{words}: {:.1}% efficiency ({} transactions for {} \
                  requests){}",
@@ -295,18 +313,15 @@ fn mechanism_warnings(out: &mut Vec<Diagnostic>, span: &Span, scope: &Scope) {
             warn(UNCOALESCED, summary.worst, message, hint);
         }
     }
-    if divergence.branches > 0 {
-        let frac = divergence.divergent as f64 / divergence.branches as f64;
-        if frac >= DIVERGENCE_THRESHOLD {
-            let message = format!(
-                "{:.0}% of branches{words} diverge ({} of {}); diverged paths serialise{}",
-                frac * 100.0,
-                divergence.divergent,
-                divergence.branches,
-                tag()
-            );
-            warn(DIVERGENCE, divergence.first, message, DIVERGENCE_HINT);
-        }
+    if let Some(share) = divergent_share(divergence) {
+        let message = format!(
+            "{:.0}% of branches{words} diverge ({} of {}); diverged paths serialise{}",
+            share * 100.0,
+            divergence.divergent,
+            divergence.branches,
+            tag()
+        );
+        warn(DIVERGENCE, divergence.first, message, DIVERGENCE_HINT);
     }
 }
 

@@ -17,14 +17,14 @@
 use crate::attr::{self, BlockAttribution};
 use crate::diag::{self, Diagnostic, Severity};
 use crate::oracle::{self, OracleReport};
-use crate::walk::{SampledLaunch, StaticLaunchAnalysis};
+use crate::walk::{analyze_sampled, StaticLaunchAnalysis};
 use crate::whatif::{self, WhatIfModel};
 use bf_kernels::matmul::matmul_application;
 use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::{simulate_sampled_launch_with, EngineOptions, GpuConfig};
+use gpu_sim::{simulate_sampled_launch_with, EngineOptions, GpuConfig, SampledLaunch};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of a lint run. Plain runs (`blocks` off, no `what_if`)
@@ -350,7 +350,7 @@ pub fn lint_applications_with(
             };
             let a = {
                 let _span = bf_trace::span!("analyze.walk");
-                sampled.walk(gpu)
+                analyze_sampled(gpu, &sampled)
             };
 
             if cfg.blocks {
@@ -360,7 +360,7 @@ pub fn lint_applications_with(
                 // the launch totals.
                 let (battr, checks) = {
                     let _span = bf_trace::span!("analyze.attr");
-                    let battr = sampled.attribute(gpu);
+                    let battr = attr::attribute_sampled(gpu, &sampled);
                     let checks = attr::check_conservation(&battr, &a);
                     (battr, checks)
                 };
@@ -451,42 +451,38 @@ pub fn lint_applications_with(
 
             if cfg.oracle {
                 let dynamic =
-                    simulate_sampled_launch_with(gpu, &sampled.blocks, &EngineOptions::default());
-                match dynamic.map(|d| oracle::compare(&a, &d, i)) {
-                    Ok(r) => {
-                        if r.divergent() {
-                            let detail: Vec<String> = r
-                                .failures()
-                                .iter()
-                                .map(|c| {
-                                    format!(
-                                        "{}: static {} vs dynamic {} (rel {:.2e})",
-                                        c.counter, c.static_value, c.dynamic_value, c.rel_error
-                                    )
-                                })
-                                .collect();
-                            all.push(Diagnostic {
-                                code: diag::ORACLE_DIVERGENCE.to_string(),
-                                severity: Severity::Error,
-                                span: diag::Span::launch(&r.kernel, i),
-                                message: format!(
-                                    "static prediction diverges from dynamic counters: {}",
-                                    if detail.is_empty() {
-                                        "occupancy mismatch".to_string()
-                                    } else {
-                                        detail.join("; ")
-                                    }
-                                ),
-                                suggestion: "static walk and simulator disagree — one of them \
-                                             has a bug; bisect against gpu-sim's counting rules"
-                                    .into(),
-                                cost: None,
-                            });
-                        }
-                        oracle_reports.push(r);
-                    }
-                    Err(e) => all.push(diag::malformed(&kernel.name(), i, &e)),
+                    simulate_sampled_launch_with(gpu, &sampled, &EngineOptions::default());
+                let r = oracle::compare(&a, &dynamic, i);
+                if r.divergent() {
+                    let detail: Vec<String> = r
+                        .failures()
+                        .iter()
+                        .map(|c| {
+                            format!(
+                                "{}: static {} vs dynamic {} (rel {:.2e})",
+                                c.counter, c.static_value, c.dynamic_value, c.rel_error
+                            )
+                        })
+                        .collect();
+                    all.push(Diagnostic {
+                        code: diag::ORACLE_DIVERGENCE.to_string(),
+                        severity: Severity::Error,
+                        span: diag::Span::launch(&r.kernel, i),
+                        message: format!(
+                            "static prediction diverges from dynamic counters: {}",
+                            if detail.is_empty() {
+                                "occupancy mismatch".to_string()
+                            } else {
+                                detail.join("; ")
+                            }
+                        ),
+                        suggestion: "static walk and simulator disagree — one of them has a \
+                                     bug; bisect against gpu-sim's counting rules"
+                            .into(),
+                        cost: None,
+                    });
                 }
+                oracle_reports.push(r);
             }
             if let Some(b) = baseline.as_mut() {
                 b.push(a);

@@ -22,10 +22,11 @@
 //! Counters with no static counterpart (cache hits, DRAM reads, cycles,
 //! seconds) are out of scope by design.
 
-use crate::walk::{SampledLaunch, StaticLaunchAnalysis};
+use crate::walk::{analyze_sampled, StaticLaunchAnalysis};
 use bf_kernels::Application;
 use gpu_sim::{
     simulate_sampled_launch_with, EngineOptions, GpuConfig, KernelTrace, LaunchResult, Result,
+    SampledLaunch,
 };
 use serde::Serialize;
 
@@ -113,16 +114,16 @@ pub fn compare(a: &StaticLaunchAnalysis, dynamic: &LaunchResult, launch: usize) 
     }
 }
 
-/// Samples one launch once, then walks and simulates its blocks and diffs
-/// the two.
+/// Samples and compiles one launch once, then walks and simulates it and
+/// diffs the two.
 pub fn check_launch(
     gpu: &GpuConfig,
     kernel: &dyn KernelTrace,
     launch: usize,
 ) -> Result<OracleReport> {
     let s = SampledLaunch::new(gpu, kernel)?;
-    let d = simulate_sampled_launch_with(gpu, &s.blocks, &EngineOptions::default())?;
-    Ok(compare(&s.walk(gpu), &d, launch))
+    let d = simulate_sampled_launch_with(gpu, &s, &EngineOptions::default());
+    Ok(compare(&analyze_sampled(gpu, &s), &d, launch))
 }
 
 /// Runs the oracle over every launch of an application.

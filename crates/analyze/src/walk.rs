@@ -1,11 +1,11 @@
 //! The static instruction walk: event counts and bottleneck metrics derived
 //! from a kernel's traces without running the cycle engine.
 //!
-//! The walk compiles exactly the blocks the dynamic engine samples (its own
-//! sampler, [`gpu_sim::sample_blocks`]) through the engine's compile stage
-//! ([`gpu_sim::soa::compile`]), folds the compiled ops ([`fold_op`]), then
+//! The walk reads the one [`SampledLaunch`] the engine also simulates: the
+//! blocks its sampler picks, compiled once by the engine's compile stage
+//! ([`gpu_sim::soa::compile`]). It folds the compiled ops (`fold_op`), then
 //! scales to the full grid by the same `grid_blocks / sampled_blocks`
-//! factor. The per-instruction counting rules
+//! factor ([`SampledLaunch::scale`]). The per-instruction counting rules
 //! (lanes, replays, transactions, requested bytes) thus have one producer;
 //! the fold adds only the static-only counters and the profiles. Every
 //! counter with a dynamic counterpart is expected to match the simulator
@@ -20,9 +20,9 @@
 use gpu_sim::coalesce::coalesce_into;
 use gpu_sim::counters::raw_event_field_names;
 use gpu_sim::occupancy::Occupancy;
-use gpu_sim::soa::{self, CompiledLaunch, Op, OpKind};
+use gpu_sim::soa::{Op, OpKind};
 use gpu_sim::trace::{KernelTrace, LaunchConfig, WarpInstruction};
-use gpu_sim::{sample_blocks, GpuConfig, Result, SampledBlocks};
+use gpu_sim::{GpuConfig, Result, SampledLaunch};
 use serde::Serialize;
 
 /// Where in a kernel an interesting access lives: sampled block id, warp
@@ -323,99 +323,63 @@ impl StaticLaunchAnalysis {
     }
 }
 
-/// Statically analyzes one kernel launch: occupancy, a counting walk over the
-/// sampled block traces, and coalescing/bank-conflict/divergence profiles.
+/// Statically analyzes one kernel launch: samples and compiles it
+/// ([`SampledLaunch::new`]), then walks it ([`analyze_sampled`]).
 ///
-/// Traces are validated before walking, so malformed kernels fail with the
+/// Traces are validated by the compile, so malformed kernels fail with the
 /// same `BadTrace` errors the simulator raises.
 pub fn analyze_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<StaticLaunchAnalysis> {
-    Ok(SampledLaunch::new(gpu, kernel)?.walk(gpu))
+    Ok(analyze_sampled(gpu, &SampledLaunch::new(gpu, kernel)?))
 }
 
-/// One launch's sampled blocks and their compiled ops: the prologue every
-/// pass over a launch shares. The launch walk ([`SampledLaunch::walk`]),
-/// the per-block attribution ([`SampledLaunch::attribute`]) and the
-/// simulation the oracle diffs against
-/// ([`gpu_sim::simulate_sampled_launch_with`] over `blocks`) all read it, so
-/// a caller that wants several of them generates and compiles the traces
-/// once.
-pub struct SampledLaunch {
-    /// Kernel name.
-    pub(crate) kernel: String,
-    /// The blocks the dynamic engine would simulate, and their traces.
-    pub(crate) blocks: SampledBlocks,
-    /// `blocks.traces` compiled by the engine's compile stage (which
-    /// validates).
-    compiled: CompiledLaunch,
-}
-
-impl SampledLaunch {
-    /// Samples the blocks the dynamic engine would, through its own sampler
-    /// ([`gpu_sim::sample_blocks`]), and compiles their traces.
-    pub fn new(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledLaunch> {
-        let blocks = sample_blocks(gpu, kernel)?;
-        let compiled = soa::compile(gpu, &blocks.traces)?;
-        Ok(SampledLaunch {
-            kernel: kernel.name(),
-            blocks,
-            compiled,
+/// Every sampled warp of `s` in walk order: where its stream starts, the
+/// stream, and its compiled ops (one per instruction).
+pub(crate) fn warps(
+    s: &SampledLaunch,
+) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
+    let streams = s.traces().iter().flat_map(|t| t.warps.iter().enumerate());
+    streams
+        .zip(s.compiled().warps())
+        .map(|((warp, stream), (block, ops))| {
+            let loc = Location {
+                block: s.ids()[block],
+                warp,
+                instruction: 0,
+            };
+            (loc, stream.as_slice(), ops)
         })
-    }
+}
 
-    /// Grid scaling factor: grid blocks per sampled block.
-    pub(crate) fn scale(&self) -> f64 {
-        self.blocks.launch.grid_blocks as f64 / self.blocks.traces.len() as f64
-    }
-
-    /// Every sampled warp in walk order: where its stream starts, the
-    /// stream, and its compiled ops (one per instruction).
-    pub(crate) fn warps(&self) -> impl Iterator<Item = (Location, &[WarpInstruction], &[Op])> {
-        let streams = self
-            .blocks
-            .traces
-            .iter()
-            .flat_map(|t| t.warps.iter().enumerate());
-        streams
-            .zip(self.compiled.warps())
-            .map(|((warp, stream), (block, ops))| {
-                let loc = Location {
-                    block: self.blocks.ids[block],
-                    warp,
-                    instruction: 0,
-                };
-                (loc, stream.as_slice(), ops)
-            })
-    }
-
-    /// The launch-level counting fold over the compiled ops.
-    pub fn walk(&self, gpu: &GpuConfig) -> StaticLaunchAnalysis {
-        let mut acc = Accumulator::default();
-        let mut sectors = Vec::new();
-        acc.counts.blocks_launched = self.blocks.traces.len() as f64;
-        for (loc, stream, ops) in self.warps() {
-            acc.counts.warps_launched += 1.0;
-            for (i, (op, instr)) in ops.iter().zip(stream).enumerate() {
-                let loc = Location {
-                    instruction: i,
-                    ..loc
-                };
-                fold_op(gpu, op, instr, loc, &mut acc, &mut sectors);
-            }
+/// The launch-level counting fold over a sampled launch's compiled ops:
+/// occupancy, full-grid event counts, and the coalescing, bank-conflict
+/// and divergence profiles.
+pub fn analyze_sampled(gpu: &GpuConfig, s: &SampledLaunch) -> StaticLaunchAnalysis {
+    let mut acc = Accumulator::default();
+    let mut sectors = Vec::new();
+    acc.counts.blocks_launched = s.traces().len() as f64;
+    for (loc, stream, ops) in warps(s) {
+        acc.counts.warps_launched += 1.0;
+        for (i, (op, instr)) in ops.iter().zip(stream).enumerate() {
+            let loc = Location {
+                instruction: i,
+                ..loc
+            };
+            fold_op(gpu, op, instr, loc, &mut acc, &mut sectors);
         }
+    }
 
-        let scale = self.scale();
-        StaticLaunchAnalysis {
-            kernel: self.kernel.clone(),
-            launch: self.blocks.launch,
-            occupancy: self.blocks.occupancy,
-            sampled_blocks: self.blocks.ids.clone(),
-            scale,
-            counts: acc.counts.scaled(scale),
-            shared: acc.shared,
-            loads: acc.loads,
-            stores: acc.stores,
-            divergence: acc.divergence,
-        }
+    let scale = s.scale();
+    StaticLaunchAnalysis {
+        kernel: s.kernel().to_string(),
+        launch: *s.launch(),
+        occupancy: *s.occupancy(),
+        sampled_blocks: s.ids().to_vec(),
+        scale,
+        counts: acc.counts.scaled(scale),
+        shared: acc.shared,
+        loads: acc.loads,
+        stores: acc.stores,
+        divergence: acc.divergence,
     }
 }
 
@@ -703,8 +667,8 @@ mod tests {
                     for kernel in &app.launches {
                         let kernel = kernel.as_ref();
                         let sampled = SampledLaunch::new(&gpu, kernel).unwrap();
-                        let walked = sampled.walk(&gpu);
-                        let attributed = sampled.attribute(&gpu);
+                        let walked = analyze_sampled(&gpu, &sampled);
+                        let attributed = crate::attr::attribute_sampled(&gpu, &sampled);
                         assert_eq!(
                             json(&walked),
                             json(&analyze_launch(&gpu, kernel).unwrap()),

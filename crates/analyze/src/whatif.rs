@@ -16,7 +16,7 @@
 //! selected-counter row before the forest prediction.
 
 use crate::diag;
-use crate::walk::{SampledLaunch, StaticCounts, StaticLaunchAnalysis};
+use crate::walk::{analyze_launch, StaticCounts, StaticLaunchAnalysis};
 use bf_kernels::Application;
 use gpu_sim::counters::RAW_EVENT_FIELDS;
 use gpu_sim::profiler::derive_counters;
@@ -243,19 +243,12 @@ fn analyze_all(
         .iter()
         .enumerate()
         .map(|(i, k)| {
-            let sampled = match fix {
-                Some(fix) => SampledLaunch::new(
-                    gpu,
-                    &FixedKernel {
-                        inner: k.as_ref(),
-                        fix,
-                    },
-                ),
-                None => SampledLaunch::new(gpu, k.as_ref()),
-            };
-            sampled
-                .map(|s| s.walk(gpu))
-                .map_err(|e| e.in_kernel(&k.name(), i))
+            let inner = k.as_ref();
+            match fix {
+                Some(fix) => analyze_launch(gpu, &FixedKernel { inner, fix }),
+                None => analyze_launch(gpu, inner),
+            }
+            .map_err(|e| e.in_kernel(&k.name(), i))
         })
         .collect()
 }
@@ -280,19 +273,13 @@ pub(crate) fn scenarios_from_baseline(
 
     let mut applicable = Vec::new();
     for a in analyses {
-        if a.shared.max_degree >= 2 {
+        if diag::bank_conflicted(&a.shared) {
             applicable.push(Fix::ConflictFreeShared);
         }
-        let bad_loads = a.loads.requests > 0 && a.loads.efficiency() < diag::COALESCING_THRESHOLD;
-        let bad_stores =
-            a.stores.requests > 0 && a.stores.efficiency() < diag::COALESCING_THRESHOLD;
-        if bad_loads || bad_stores {
+        if diag::uncoalesced(&a.loads) || diag::uncoalesced(&a.stores) {
             applicable.push(Fix::CoalescedGlobal);
         }
-        if a.divergence.branches > 0
-            && a.divergence.divergent as f64 / a.divergence.branches as f64
-                >= diag::DIVERGENCE_THRESHOLD
-        {
+        if diag::divergent_share(&a.divergence).is_some() {
             applicable.push(Fix::ConvergedBranches);
         }
     }

@@ -31,7 +31,7 @@ use bf_kernels::Application;
 use gpu_sim::cache::Cache;
 use gpu_sim::counters::raw_event_field_names;
 use gpu_sim::trace::KernelTrace;
-use gpu_sim::{sample_blocks, simulate_launch, GpuConfig};
+use gpu_sim::{simulate_launch, GpuConfig, SampledLaunch};
 
 /// One GPU per architecture generation: Fermi, Kepler, Maxwell, Pascal,
 /// Volta. Each generation exercises a different global-memory path
@@ -45,12 +45,12 @@ fn gpus() -> Vec<GpuConfig> {
 /// the blocks the walk samples, from cold caches, scaled to the grid with
 /// the walk's single multiply.
 fn reference_events(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Vec<(&'static str, f64)> {
-    let sampled = sample_blocks(gpu, kernel).unwrap();
+    let sampled = SampledLaunch::new(gpu, kernel).unwrap();
     let l2_slice = (gpu.l2_size / gpu.num_sms).max(gpu.l2_line * gpu.l2_assoc);
     let mut l1 = Cache::new(gpu.l1_size, gpu.l1_tag_line(), gpu.l1_assoc);
     let mut l2 = Cache::new(l2_slice, gpu.l2_line.max(32), gpu.l2_assoc);
-    let r = reference::simulate_sm(gpu, &sampled.traces, &mut l1, &mut l2).unwrap();
-    let scale = sampled.launch.grid_blocks as f64 / sampled.traces.len() as f64;
+    let r = reference::simulate_sm(gpu, sampled.traces(), &mut l1, &mut l2).unwrap();
+    let scale = sampled.launch().grid_blocks as f64 / sampled.traces().len() as f64;
     let values = r.events.as_array().map(|v| v * scale);
     raw_event_field_names().into_iter().zip(values).collect()
 }

@@ -20,7 +20,7 @@ use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
 use gpu_sim::{
-    sample_blocks, simulate_sampled_launch_with, EngineOptions, GpuConfig, LaunchResult,
+    simulate_sampled_launch_with, EngineOptions, GpuConfig, LaunchResult, SampledLaunch,
 };
 
 fn gpus() -> Vec<GpuConfig> {
@@ -34,8 +34,8 @@ fn simulate_with(
     kernel: &dyn gpu_sim::KernelTrace,
     loop_extrapolation: bool,
 ) -> LaunchResult {
-    let sampled = sample_blocks(gpu, kernel).unwrap();
-    simulate_sampled_launch_with(gpu, &sampled, &EngineOptions { loop_extrapolation }).unwrap()
+    let sampled = SampledLaunch::new(gpu, kernel).unwrap();
+    simulate_sampled_launch_with(gpu, &sampled, &EngineOptions { loop_extrapolation })
 }
 
 fn assert_oracle_green(gpu: &GpuConfig, app: &Application, loop_extrapolation: bool) {

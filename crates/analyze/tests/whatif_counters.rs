@@ -7,14 +7,23 @@
 //! on the same raw events — the application's static counts, summed over
 //! its launches in issue order — and the row must carry every bank-conflict
 //! counter the architecture exposes, whatever the generation spells it.
+//!
+//! What-if prices exactly the fixes of the warnings lint raises: per
+//! application of every quick lint sweep, the fixes priced and the
+//! BF-W001/W002/W004 codes emitted are the same set.
 
-use bf_analyze::{analyze_launch, whatif_scenarios, Fix, FixedKernel, StaticCounts};
+use bf_analyze::diag::{BANK_CONFLICT, DIVERGENCE, UNCOALESCED};
+use bf_analyze::{
+    analyze_launch, lint_applications_with, whatif_scenarios, workload_sweep_with_chars, Fix,
+    FixedKernel, LintConfig, StaticCounts, WORKLOADS,
+};
 use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::Application;
 use gpu_sim::counters::counter_available;
 use gpu_sim::profiler::derive_counters;
 use gpu_sim::{GpuConfig, RawEvents};
+use std::collections::BTreeSet;
 
 /// Every spelling of the shared-memory bank-conflict events across the
 /// generations.
@@ -129,4 +138,45 @@ fn whatif_rows_equal_derive_counters_across_the_zoo() {
             }
         }
     }
+}
+
+#[test]
+fn whatif_prices_the_fixes_of_exactly_the_warnings_lint_emits() {
+    let mechanisms = [BANK_CONFLICT, UNCOALESCED, DIVERGENCE];
+    let mut seen = BTreeSet::new();
+    for gpu in [GpuConfig::gtx580(), GpuConfig::v100()] {
+        for workload in WORKLOADS {
+            let (apps, _) = workload_sweep_with_chars(workload, true).unwrap();
+            for app in &apps {
+                let priced: BTreeSet<&str> = whatif_scenarios(&gpu, app)
+                    .unwrap()
+                    .iter()
+                    .map(|s| s.fix.code())
+                    .collect();
+                let cfg = LintConfig {
+                    quick: true,
+                    ..LintConfig::default()
+                };
+                let report =
+                    lint_applications_with(&gpu, workload, std::slice::from_ref(app), &[], &cfg);
+                let warned: BTreeSet<&str> = report
+                    .diagnostics
+                    .iter()
+                    .map(|d| d.diagnostic.code.as_str())
+                    .filter(|code| mechanisms.contains(code))
+                    .collect();
+                assert_eq!(
+                    priced, warned,
+                    "{} on {}: what-if prices {priced:?}, lint warns {warned:?}",
+                    app.name, gpu.name
+                );
+                seen.extend(priced);
+            }
+        }
+    }
+    assert_eq!(
+        seen,
+        BTreeSet::from(mechanisms),
+        "the sweeps raise every mechanism"
+    );
 }

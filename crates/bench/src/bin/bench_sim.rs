@@ -32,7 +32,8 @@ use std::time::Instant;
 
 /// Hot-path span names whose totals form the per-phase breakdown.
 /// `sample_blocks` picks a launch's blocks and generates their traces
-/// (`gpu_sim::sample_blocks`); the compile passes (`validate`,
+/// (`gpu_sim::SampledLaunch::new`, which then compiles them); the compile
+/// passes (`validate`,
 /// `trace_walk`, `coalesce`, `banks`) and the dynamic `issue_loop` live in
 /// `gpu_sim::soa`; the steady-state check's period search
 /// (`steady.period`) and probe truncation (`steady.truncate`) live in

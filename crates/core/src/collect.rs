@@ -10,12 +10,13 @@
 
 use crate::dataset::Dataset;
 use crate::Result;
+use bf_analyze::StaticCounts;
 use bf_kernels::matmul::matmul_application;
 use bf_kernels::nw::nw_application;
 use bf_kernels::reduce::{reduce_application, ReduceVariant};
 use bf_kernels::stencil::stencil_application;
 use bf_kernels::Application;
-use gpu_sim::{GpuConfig, KernelTrace, ProfiledRun, SimCache};
+use gpu_sim::{GpuConfig, KernelTrace, ProfiledRun, SampledLaunch, SimCache};
 use rand::prelude::*;
 
 /// Options shared by the collection drivers.
@@ -161,13 +162,15 @@ pub fn dataset_from_observations(
     Ok(ds)
 }
 
+/// What the static columns read of one launch: theoretical occupancy, worst
+/// bank-conflict degree, full-grid counts, and the scaled basic-block costs.
+type LaunchStatics = (f64, u32, StaticCounts, Vec<(u64, f64)>);
+
 /// Statically derived per-application feature columns (see
-/// [`CollectOptions::include_static_features`]): launch-level analyses are
-/// aggregated over the application — sums for counts, totals-ratio for
-/// efficiencies, warp-weighted mean for occupancy, max for conflict degree.
-/// Each launch is sampled and compiled once, for both its walk and its
-/// basic-block attribution.
-fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f64)>> {
+/// [`CollectOptions::include_static_features`]) from its launches' statics,
+/// in launch order: sums for counts, totals-ratio for efficiencies,
+/// warp-weighted mean for occupancy, max for conflict degree.
+fn static_features(launches: Vec<LaunchStatics>) -> Vec<(String, f64)> {
     let mut occ_weighted = 0.0f64;
     let mut warps = 0.0f64;
     let mut max_degree = 0u32;
@@ -178,64 +181,41 @@ fn static_features(gpu: &GpuConfig, app: &Application) -> Result<Vec<(String, f6
     let mut alu_ops = 0.0f64;
     let mut dram_bytes = 0.0f64;
     let mut inst = 0.0f64;
-    let mut block_analyses = Vec::with_capacity(app.launches.len());
-    for (i, kernel) in app.launches.iter().enumerate() {
-        let sampled = bf_analyze::SampledLaunch::new(gpu, kernel.as_ref())
-            .map_err(|e| e.in_kernel(&kernel.name(), i))?;
-        let a = sampled.walk(gpu);
-        block_analyses.push(sampled.attribute(gpu));
-        occ_weighted += a.occupancy.theoretical * a.counts.warps_launched;
-        warps += a.counts.warps_launched;
-        max_degree = max_degree.max(a.shared.max_degree);
-        gld_trans += a.counts.global_load_transactions;
-        gst_trans += a.counts.global_store_transactions;
-        requested += a.counts.gld_requested_bytes + a.counts.gst_requested_bytes;
-        traffic += a.counts.load_traffic_bytes + a.counts.store_traffic_bytes;
-        alu_ops += a.counts.alu_thread_ops;
-        dram_bytes += a.counts.dram_read_bytes_bound + a.counts.store_traffic_bytes;
-        inst += a.counts.inst_executed;
+    let mut block_costs = Vec::new();
+    for (occupancy, degree, c, costs) in launches {
+        block_costs.extend(costs);
+        occ_weighted += occupancy * c.warps_launched;
+        warps += c.warps_launched;
+        max_degree = max_degree.max(degree);
+        gld_trans += c.global_load_transactions;
+        gst_trans += c.global_store_transactions;
+        requested += c.gld_requested_bytes + c.gst_requested_bytes;
+        traffic += c.load_traffic_bytes + c.store_traffic_bytes;
+        alu_ops += c.alu_thread_ops;
+        dram_bytes += c.dram_read_bytes_bound + c.store_traffic_bytes;
+        inst += c.inst_executed;
     }
     // Basic-block shape of the application: how concentrated the attributed
     // cost is (share of the hottest block) and how many blocks dominate.
-    let blocks = bf_analyze::block_profile(&block_analyses);
-    Ok(vec![
+    let blocks = bf_analyze::block_profile(block_costs);
+    let ratio = |num: f64, den: f64, empty: f64| if den > 0.0 { num / den } else { empty };
+    [
+        ("static_occupancy", ratio(occ_weighted, warps, 0.0)),
+        ("static_bank_conflict_degree", max_degree as f64),
+        ("static_gld_transactions", gld_trans),
+        ("static_gst_transactions", gst_trans),
         (
-            "static_occupancy".to_string(),
-            if warps > 0.0 {
-                occ_weighted / warps
-            } else {
-                0.0
-            },
+            "static_coalescing_efficiency",
+            ratio(requested, traffic, 1.0),
         ),
-        ("static_bank_conflict_degree".to_string(), max_degree as f64),
-        ("static_gld_transactions".to_string(), gld_trans),
-        ("static_gst_transactions".to_string(), gst_trans),
-        (
-            "static_coalescing_efficiency".to_string(),
-            if traffic > 0.0 {
-                requested / traffic
-            } else {
-                1.0
-            },
-        ),
-        (
-            "static_arith_intensity".to_string(),
-            if dram_bytes > 0.0 {
-                alu_ops / dram_bytes
-            } else {
-                0.0
-            },
-        ),
-        ("static_inst_executed".to_string(), inst),
-        (
-            "static_top_block_cost_share".to_string(),
-            blocks.top_block_cost_share,
-        ),
-        (
-            "static_hot_block_count".to_string(),
-            blocks.hot_block_count as f64,
-        ),
-    ])
+        ("static_arith_intensity", ratio(alu_ops, dram_bytes, 0.0)),
+        ("static_inst_executed", inst),
+        ("static_top_block_cost_share", blocks.top_block_cost_share),
+        ("static_hot_block_count", blocks.hot_block_count as f64),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name.to_string(), value))
+    .collect()
 }
 
 /// Profiles a batch of applications and expands each profiled run into
@@ -256,12 +236,6 @@ fn profile_batch(
     opts: &CollectOptions,
 ) -> Result<Vec<Observation>> {
     let _batch_span = bf_trace::span!("profile_batch", apps = jobs.len());
-    if opts.include_static_features {
-        let _span = bf_trace::span!("static_features");
-        for (app, characteristics) in &mut jobs {
-            characteristics.extend(static_features(gpu, app)?);
-        }
-    }
     // Per-batch memoization (none under BF_SIM_CACHE=0), layered over the
     // persistent disk tier when BF_SIM_CACHE_DIR is set — repeated collection runs (NW sweeps most of
     // all, whose launches are structurally unique within one run) then hit
@@ -271,7 +245,35 @@ fn profile_batch(
         .iter()
         .map(|(app, _)| (app.name.as_str(), app.launches.as_slice()))
         .collect();
-    let runs = gpu_sim::profile_applications(gpu, &apps, cache.as_ref())?;
+    let runs = if opts.include_static_features {
+        // One sample and one compile per launch feed both the simulated
+        // counters and the static columns.
+        let gpu_fp = gpu.fingerprint();
+        let (runs, statics) = gpu_sim::profile_applications_with(gpu, &apps, |kernel| {
+            let s = SampledLaunch::new(gpu, kernel)?;
+            let result =
+                gpu_sim::simulate_launch_cached(gpu, gpu_fp, kernel, Some(&s), cache.as_ref())?;
+            // Every launch's statics live until the batch ends: keep few.
+            let a = bf_analyze::analyze_sampled(gpu, &s);
+            let blocks = bf_analyze::attribute_sampled(gpu, &s);
+            let costs = blocks.scaled_costs().collect();
+            let statics = (
+                a.occupancy.theoretical,
+                a.shared.max_degree,
+                a.counts,
+                costs,
+            );
+            Ok((result, statics))
+        })?;
+        let mut statics = statics.into_iter();
+        for (app, characteristics) in &mut jobs {
+            let launches = statics.by_ref().take(app.launches.len()).collect();
+            characteristics.extend(static_features(launches));
+        }
+        runs
+    } else {
+        gpu_sim::profile_applications(gpu, &apps, cache.as_ref())?
+    };
     let profiled: Vec<Observation> = runs
         .into_iter()
         .zip(jobs)

@@ -24,9 +24,10 @@ pub enum SplitStrategy {
     Exact,
     /// Quantise each feature into at most `max_bins` bins once per fit, then
     /// search splits over per-bin `(count, Σy)` histograms accumulated in one
-    /// `O(n)` pass per (node, feature). Identical trees to [`Exact`] whenever
-    /// every feature has at most `max_bins` distinct values; a quantile
-    /// approximation (and a large speedup) otherwise. See [`crate::binned`].
+    /// `O(n)` pass per (node, feature). Identical trees to
+    /// [`SplitStrategy::Exact`] whenever every feature has at most
+    /// `max_bins` distinct values; a quantile approximation (and a large
+    /// speedup) otherwise. See [`crate::binned`].
     Histogram {
         /// Bin-count ceiling per feature, `2..=65536`.
         max_bins: usize,

@@ -9,7 +9,7 @@
 //! builder creates the nodes (the root first, and each split's two children
 //! appended together, so they sit in adjacent slots after their parent):
 //!
-//! * `feature[i]` — the splitting variable, or [`LEAF`] for a terminal;
+//! * `feature[i]` — the splitting variable, or `LEAF` for a terminal;
 //! * `threshold[i]` — the split point, or a terminal's value;
 //! * `left[i]` — the left child's slot (the right child is `left[i] + 1`),
 //!   or the number of training samples in a terminal's region.

@@ -202,7 +202,7 @@ mod tests {
     use crate::banks::{replays_scratch, BankScratch};
     use crate::cache::Cache;
     use crate::coalesce::coalesce_into;
-    use crate::soa::simulate_resident_set;
+    use crate::soa::{compile, execute};
     use crate::trace::{first_lanes, LaneMask};
     use crate::GpuConfig;
 
@@ -301,7 +301,7 @@ mod tests {
         let t = b.build().unwrap();
         let mut l1 = Cache::new(gpu.l1_size, gpu.l1_line, gpu.l1_assoc);
         let mut l2 = Cache::new(gpu.l2_size / gpu.num_sms, 32, gpu.l2_assoc);
-        let r = simulate_resident_set(&gpu, &[t], &mut l1, &mut l2).unwrap();
+        let r = execute(&gpu, &compile(&gpu, &[t]).unwrap(), &mut l1, &mut l2);
         assert!(r.cycles > 0.0);
         assert_eq!(r.events.gld_request, 4.0);
         assert_eq!(r.events.gst_request, 4.0);

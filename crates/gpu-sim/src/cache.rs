@@ -16,22 +16,19 @@ pub enum Access {
     Miss,
 }
 
-/// A set-associative LRU tag store.
+/// A set-associative LRU tag store: one flat array of `sets × ways` tags,
+/// where set `s` owns `tags[s * ways..][..ways]` and keeps its first
+/// `fill[s]` slots valid, most-recently-used first.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<CacheSet>,
+    tags: Vec<u64>,
+    fill: Vec<u32>,
+    ways: usize,
     line: u64,
     set_shift: u32,
     set_mask: u64,
     hits: u64,
     misses: u64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheSet {
-    /// Tags ordered most-recently-used first.
-    tags: Vec<u64>,
-    ways: usize,
 }
 
 impl Cache {
@@ -45,12 +42,9 @@ impl Cache {
         let raw_sets = (num_lines / assoc).max(1);
         let num_sets = 1usize << (usize::BITS - 1 - raw_sets.leading_zeros());
         Cache {
-            sets: (0..num_sets)
-                .map(|_| CacheSet {
-                    tags: Vec::with_capacity(assoc),
-                    ways: assoc,
-                })
-                .collect(),
+            tags: vec![0; num_sets * assoc],
+            fill: vec![0; num_sets],
+            ways: assoc,
             line: line as u64,
             set_shift: line.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
@@ -59,24 +53,39 @@ impl Cache {
         }
     }
 
-    /// Performs a read access at a byte address; allocates on miss.
-    pub fn read(&mut self, addr: u64) -> Access {
+    /// The set an address maps to, its tag, and the tag's position among
+    /// the set's valid tags.
+    fn lookup(&self, addr: u64) -> (usize, u64, Option<usize>) {
         let tag = addr / self.line;
         let set = ((addr >> self.set_shift) & self.set_mask) as usize;
-        let s = &mut self.sets[set];
-        if let Some(pos) = s.tags.iter().position(|&t| t == tag) {
-            // Move to MRU.
-            let t = s.tags.remove(pos);
-            s.tags.insert(0, t);
-            self.hits += 1;
-            Access::Hit
-        } else {
-            s.tags.insert(0, tag);
-            if s.tags.len() > s.ways {
-                s.tags.pop();
+        let base = set * self.ways;
+        let valid = &self.tags[base..base + self.fill[set] as usize];
+        (set, tag, valid.iter().position(|&t| t == tag))
+    }
+
+    /// Performs a read access at a byte address; allocates on miss.
+    pub fn read(&mut self, addr: u64) -> Access {
+        let (set, tag, found) = self.lookup(addr);
+        let base = set * self.ways;
+        match found {
+            Some(pos) => {
+                // Move to MRU.
+                self.tags[base..=base + pos].rotate_right(1);
+                self.hits += 1;
+                Access::Hit
             }
-            self.misses += 1;
-            Access::Miss
+            None => {
+                // Insert at MRU; a full set drops its LRU tag off the end.
+                let fill = &mut self.fill[set];
+                if (*fill as usize) < self.ways {
+                    *fill += 1;
+                }
+                let valid = &mut self.tags[base..base + *fill as usize];
+                valid.rotate_right(1);
+                valid[0] = tag;
+                self.misses += 1;
+                Access::Miss
+            }
         }
     }
 
@@ -84,11 +93,12 @@ impl Cache {
     /// the written line is *evicted* if present (Fermi L1 global-store
     /// semantics), keeping subsequent reads honest.
     pub fn write_evict(&mut self, addr: u64) {
-        let tag = addr / self.line;
-        let set = ((addr >> self.set_shift) & self.set_mask) as usize;
-        let s = &mut self.sets[set];
-        if let Some(pos) = s.tags.iter().position(|&t| t == tag) {
-            s.tags.remove(pos);
+        if let (set, _, Some(pos)) = self.lookup(addr) {
+            let base = set * self.ways;
+            let fill = self.fill[set] as usize;
+            self.tags
+                .copy_within(base + pos + 1..base + fill, base + pos);
+            self.fill[set] -= 1;
         }
     }
 
@@ -109,16 +119,14 @@ impl Cache {
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.tags.clear();
-        }
+        self.fill.fill(0);
         self.hits = 0;
         self.misses = 0;
     }
 
     /// Number of sets (exposed for tests).
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.fill.len()
     }
 }
 
@@ -210,6 +218,40 @@ mod tests {
         }
     }
 
+    /// The per-set `Vec` tag store the flat layout replaced: each set's
+    /// tags most-recently-used first.
+    struct VecLru {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+        line: u64,
+    }
+
+    impl VecLru {
+        fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+            let tag = addr / self.line;
+            (tag as usize % self.sets.len(), tag)
+        }
+
+        fn read(&mut self, addr: u64) -> Access {
+            let (set, tag) = self.set_and_tag(addr);
+            let s = &mut self.sets[set];
+            if let Some(pos) = s.iter().position(|&t| t == tag) {
+                let t = s.remove(pos);
+                s.insert(0, t);
+                Access::Hit
+            } else {
+                s.insert(0, tag);
+                s.truncate(self.ways);
+                Access::Miss
+            }
+        }
+
+        fn write_evict(&mut self, addr: u64) {
+            let (set, tag) = self.set_and_tag(addr);
+            self.sets[set].retain(|&t| t != tag);
+        }
+    }
+
     #[test]
     fn reset_clears_contents_and_stats() {
         let mut c = Cache::new(1024, 128, 2);
@@ -218,5 +260,35 @@ mod tests {
         assert_eq!(c.hits(), 0);
         assert_eq!(c.misses(), 0);
         assert_eq!(c.read(0), Access::Miss);
+    }
+
+    #[test]
+    fn flat_tag_store_keeps_the_per_set_lru_order() {
+        // 4 sets x 3 ways of 32-byte lines; addresses drawn from 64 lines so
+        // every set sees hits, evictions and write-evicts.
+        let mut flat = Cache::new(4 * 3 * 32, 32, 3);
+        assert_eq!(flat.num_sets(), 4);
+        let mut reference = VecLru {
+            sets: vec![Vec::new(); 4],
+            ways: 3,
+            line: 32,
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let addr = (x % 64) * 32 + (x >> 40) % 32;
+            if x.is_multiple_of(5) {
+                flat.write_evict(addr);
+                reference.write_evict(addr);
+            } else {
+                assert_eq!(flat.read(addr), reference.read(addr), "step {step}");
+            }
+        }
+        for (set, tags) in reference.sets.iter().enumerate() {
+            let valid = &flat.tags[set * 3..set * 3 + flat.fill[set] as usize];
+            assert_eq!(valid, tags.as_slice(), "set {set}");
+        }
     }
 }

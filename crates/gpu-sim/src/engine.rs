@@ -18,6 +18,7 @@ use crate::arch::GpuConfig;
 use crate::cache::Cache;
 use crate::counters::RawEvents;
 use crate::occupancy::{occupancy, Occupancy};
+use crate::soa::CompiledLaunch;
 use crate::trace::{BlockTrace, KernelTrace, LaunchConfig};
 use crate::{soa, steady, Result};
 
@@ -75,7 +76,7 @@ impl Default for EngineOptions {
 /// The cold cache state every launch simulation starts from: fresh L1 plus
 /// this SM's 1/num_sms slice of the shared L2 (standard approximation for
 /// single-SM sampling).
-fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
+pub(crate) fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
     let l2_slice = (gpu.l2_size / gpu.num_sms).max(gpu.l2_line * gpu.l2_assoc);
     (
         // Sector-tagged L1s (Pascal/Volta) track 32-byte sectors in their
@@ -85,60 +86,104 @@ fn fresh_caches(gpu: &GpuConfig) -> (Cache, Cache) {
     )
 }
 
-/// One launch's representative blocks: its geometry and occupancy, the
-/// sampled block ids, and their traces.
-#[derive(Debug, Clone)]
-pub struct SampledBlocks {
-    /// The launch configuration.
-    pub launch: LaunchConfig,
-    /// Theoretical occupancy of `launch` on the GPU.
-    pub occupancy: Occupancy,
-    /// The sampled block ids, in simulation order.
-    pub ids: Vec<usize>,
-    /// The trace of each id in `ids`.
-    pub traces: Vec<BlockTrace>,
+/// One launch's representative resident set, sampled and compiled: the
+/// launch geometry and occupancy, the sampled block ids, their traces, and
+/// the ops the engine's compile stage made of them ([`soa::compile`], which
+/// validates). [`SampledLaunch::new`] is the only way to build one, so every
+/// path from a launch to its counters — the engine
+/// ([`simulate_sampled_launch_with`]), the memo's miss path, and
+/// bf-analyze's static walk, attribution and oracle — reads the same blocks
+/// and the same ops, compiled once.
+#[derive(Debug)]
+pub struct SampledLaunch {
+    kernel: String,
+    launch: LaunchConfig,
+    occupancy: Occupancy,
+    ids: Vec<usize>,
+    traces: Vec<BlockTrace>,
+    compiled: CompiledLaunch,
 }
 
-/// The block sampler every path from a launch to its counters shares: one
-/// resident set's worth of block ids (`sample_block_ids` with the
-/// occupancy-derived resident count) and their traces. The engine, the
-/// memo's miss path and the static walk all sample through here, so they
-/// always see the same blocks.
-pub fn sample_blocks(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledBlocks> {
-    let _span = bf_trace::span!("sample_blocks");
-    let launch = kernel.launch_config();
-    let occupancy = occupancy(gpu, &launch)?;
-    let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
-    let traces = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
-    Ok(SampledBlocks {
-        launch,
-        occupancy,
-        ids,
-        traces,
-    })
+impl SampledLaunch {
+    /// Samples one resident set's worth of block ids (`sample_block_ids`
+    /// with the occupancy-derived resident count), builds their traces and
+    /// compiles them.
+    pub fn new(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<SampledLaunch> {
+        let span = bf_trace::span!("sample_blocks");
+        let launch = kernel.launch_config();
+        let occupancy = occupancy(gpu, &launch)?;
+        let ids = sample_block_ids(launch.grid_blocks, occupancy.blocks_per_sm);
+        let traces: Vec<BlockTrace> = ids.iter().map(|&b| kernel.block_trace(b, gpu)).collect();
+        drop(span);
+        let compiled = soa::compile(gpu, &traces)?;
+        Ok(SampledLaunch {
+            kernel: kernel.name(),
+            launch,
+            occupancy,
+            ids,
+            traces,
+            compiled,
+        })
+    }
+
+    /// Kernel name.
+    pub fn kernel(&self) -> &str {
+        &self.kernel
+    }
+
+    /// The launch configuration.
+    pub fn launch(&self) -> &LaunchConfig {
+        &self.launch
+    }
+
+    /// Theoretical occupancy of the launch on the GPU.
+    pub fn occupancy(&self) -> &Occupancy {
+        &self.occupancy
+    }
+
+    /// The sampled block ids, in simulation order.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// The trace of each id in [`SampledLaunch::ids`].
+    pub fn traces(&self) -> &[BlockTrace] {
+        &self.traces
+    }
+
+    /// The traces compiled to the engine's ops.
+    pub fn compiled(&self) -> &CompiledLaunch {
+        &self.compiled
+    }
+
+    /// Grid scaling factor: grid blocks per sampled block.
+    pub fn scale(&self) -> f64 {
+        self.launch.grid_blocks as f64 / self.traces.len() as f64
+    }
 }
 
 /// Simulates one kernel launch on the GPU.
 pub fn simulate_launch(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<LaunchResult> {
-    simulate_sampled_launch_with(gpu, &sample_blocks(gpu, kernel)?, &EngineOptions::default())
+    let sampled = SampledLaunch::new(gpu, kernel)?;
+    Ok(simulate_sampled_launch_with(
+        gpu,
+        &sampled,
+        &EngineOptions::default(),
+    ))
 }
 
-/// Simulates a launch from its sampled blocks ([`sample_blocks`]) with
-/// explicit [`EngineOptions`]. The memoization layer ([`crate::memo`])
-/// calls this after hashing the traces, so a cache miss does not rebuild
-/// them; tests pass options directly instead of racing on environment
-/// variables.
+/// Simulates a sampled launch with explicit [`EngineOptions`]: the engine's
+/// one simulation entry. It executes the launch's compiled ops and compiles
+/// nothing itself; only steady-state probes compile, their own truncated
+/// traces. The memoization layer ([`crate::memo`]) calls this on a miss;
+/// tests pass options directly instead of racing on environment variables.
 pub fn simulate_sampled_launch_with(
     gpu: &GpuConfig,
-    sampled: &SampledBlocks,
+    sampled: &SampledLaunch,
     opts: &EngineOptions,
-) -> Result<LaunchResult> {
-    let SampledBlocks {
-        launch: lc,
-        occupancy: occ,
-        traces,
-        ..
-    } = sampled;
+) -> LaunchResult {
+    let lc = &sampled.launch;
+    let occ = &sampled.occupancy;
     let blocks_per_wave = occ.blocks_per_sm * gpu.num_sms;
     let waves = lc.grid_blocks.div_ceil(blocks_per_wave);
 
@@ -146,17 +191,14 @@ pub fn simulate_sampled_launch_with(
     // engine; sufficiently periodic sets short-circuit through steady-state
     // extrapolation instead of simulating every iteration.
     let extrapolated = if opts.loop_extrapolation {
-        steady::try_extrapolate(gpu, traces, || fresh_caches(gpu))
+        steady::try_extrapolate(gpu, &sampled.traces)
     } else {
         None
     };
-    let sm = match extrapolated {
-        Some(sm) => sm,
-        None => {
-            let (mut l1, mut l2) = fresh_caches(gpu);
-            soa::simulate_resident_set(gpu, traces, &mut l1, &mut l2)?
-        }
-    };
+    let sm = extrapolated.unwrap_or_else(|| {
+        let (mut l1, mut l2) = fresh_caches(gpu);
+        soa::execute(gpu, &sampled.compiled, &mut l1, &mut l2)
+    });
 
     // Wave timing: compute/latency vs bandwidth.
     let sm_seconds = sm.cycles / (gpu.clock_ghz * 1e9);
@@ -167,21 +209,20 @@ pub fn simulate_sampled_launch_with(
     let time_seconds = wave_seconds * effective_waves + LAUNCH_OVERHEAD_S;
 
     // Scale events to the full grid.
-    let factor = lc.grid_blocks as f64 / traces.len() as f64;
-    let mut events = sm.events.scaled_counts(factor);
+    let mut events = sm.events.scaled_counts(sampled.scale());
     let elapsed_cycles = time_seconds * gpu.clock_ghz * 1e9;
     events.elapsed_cycles = elapsed_cycles;
     events.active_cycles = elapsed_cycles;
     events.issue_slots = elapsed_cycles * gpu.issue_width() as f64;
     events.time_seconds = time_seconds;
 
-    Ok(LaunchResult {
+    LaunchResult {
         time_seconds,
         events,
         occupancy: *occ,
         waves,
-        sampled_blocks: traces.len(),
-    })
+        sampled_blocks: sampled.traces.len(),
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! The model reproduces the microarchitectural mechanisms the paper's
 //! analyses hinge on:
 //!
-//! * **Occupancy** ([`occupancy`]) — resident thread blocks per SM limited by
+//! * **Occupancy** ([`mod@occupancy`]) — resident thread blocks per SM limited by
 //!   warp slots, registers, shared memory, and the block limit.
 //! * **Coalescing** ([`coalesce`]) — per-lane global addresses are folded
 //!   into 128-byte L1 transactions (Fermi) or 32-byte L2 sectors (Kepler,
@@ -36,15 +36,17 @@
 //! counter availability (e.g. `l1_shared_bank_conflict` exists only on Fermi,
 //! `shared_load_replay`/`shared_store_replay` only on Kepler).
 //!
-//! A launch reaches its named counters along one path: [`sample_blocks`]
-//! picks the sampled blocks and builds their traces, the engine simulates
-//! them ([`simulate_launch`], or [`simulate_launch_cached`] through a
-//! [`SimCache`]), and one `ProfiledRun` constructor turns the accumulated
-//! raw events into time, power and [`profiler::derive_counters`]' counter
-//! set.
-//! [`profile_applications`] is the one batch driver; [`profile_kernel`] and
-//! the workloads' `Application::profile` are thin entries over the same
-//! steps.
+//! A launch reaches its named counters along one path: [`SampledLaunch::new`]
+//! picks the sampled blocks, builds their traces and compiles them once
+//! ([`soa::compile`]); the engine executes those ops ([`simulate_launch`],
+//! or [`simulate_launch_cached`] through a [`SimCache`]), and one
+//! `ProfiledRun` constructor turns the accumulated raw events into time,
+//! power and [`profiler::derive_counters`]' counter set. bf-analyze's
+//! static walk and attribution fold the same compiled ops.
+//! [`profile_applications_with`] is the one batch driver
+//! ([`profile_applications`] simulates each launch; `collect
+//! --static-features` also walks it); [`profile_kernel`] and the
+//! workloads' `Application::profile` are thin entries over the same steps.
 //!
 //! Launch simulation is *pure* — each launch builds fresh cache state and
 //! shares nothing with its neighbours — which the batch driver exploits
@@ -81,8 +83,7 @@ pub use builder::TraceBuilder;
 pub use counters::{CounterSet, RawEvents};
 pub use diskcache::DiskCache;
 pub use engine::{
-    sample_blocks, simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult,
-    SampledBlocks,
+    simulate_launch, simulate_sampled_launch_with, EngineOptions, LaunchResult, SampledLaunch,
 };
 pub use memo::{
     global_cache_stats, global_disk_cache_stats, reset_global_cache_stats, simulate_launch_cached,
@@ -90,7 +91,7 @@ pub use memo::{
 };
 pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use power::{estimate_power, PowerEstimate, PowerModel};
-pub use profiler::{profile_applications, profile_kernel, ProfiledRun};
+pub use profiler::{profile_applications, profile_applications_with, profile_kernel, ProfiledRun};
 pub use trace::{BlockTrace, KernelTrace, Lanes, LaunchConfig, WarpInstruction};
 
 /// Errors raised by the simulator.

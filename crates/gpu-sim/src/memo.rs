@@ -18,9 +18,10 @@
 //! for two full SipHash walks over the traces. The hasher is deliberately
 //! *not* `DefaultHasher`: its output is stable across processes and
 //! executions, which is what lets the key double as the on-disk identity.
-//! An untagged kernel builds its sampled traces on every call (the key
-//! hashes them); a kernel with a [`KernelTrace::content_tag`] is keyed from
-//! the tag and builds traces only on a miss. A hit skips the expensive
+//! An untagged kernel builds and compiles its sampled traces on every call
+//! (the key hashes the traces); a kernel with a
+//! [`KernelTrace::content_tag`] is keyed from the tag and builds and
+//! compiles traces only on a miss. A hit skips the expensive
 //! cycle-detailed SM simulation either way.
 //!
 //! ## Disk tier
@@ -45,8 +46,8 @@
 
 use crate::arch::GpuConfig;
 use crate::diskcache::{self, DiskCache};
-use crate::engine::{sample_blocks, simulate_sampled_launch_with, EngineOptions, LaunchResult};
-use crate::trace::{BlockTrace, KernelTrace, LaunchConfig};
+use crate::engine::{simulate_sampled_launch_with, EngineOptions, LaunchResult, SampledLaunch};
+use crate::trace::{KernelTrace, LaunchConfig};
 use crate::Result;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -345,70 +346,77 @@ impl SimCache {
 }
 
 /// The 128-bit content key of one launch: a single [`Bf128Hasher`] pass
-/// over (content version, extrapolation mode, GPU fingerprint, launch
-/// config, sampled traces). Stable across processes — the same key indexes
-/// the in-memory map and the on-disk log. The leading domain byte keeps
-/// full-trace keys and [`launch_key_tagged`] keys from ever aliasing.
-fn launch_key(gpu_fp: u64, lc: &LaunchConfig, traces: &[BlockTrace], extrapolate: bool) -> u128 {
+/// over (content version, content kind, extrapolation mode, GPU
+/// fingerprint, launch config, content). The content is the sampled traces
+/// (kind 0), or a kernel's compact [`KernelTrace::content_tag`] (kind 1),
+/// which makes the key O(1) instead of O(trace bytes) — cheap enough that a
+/// 0%-hit-rate sweep pays no measurable memoization overhead. The kind
+/// byte keeps the two from ever aliasing. Stable across processes — the
+/// same key indexes the in-memory map and the on-disk log.
+fn launch_key(
+    gpu_fp: u64,
+    lc: &LaunchConfig,
+    kind: u8,
+    content: impl Hash,
+    extrapolate: bool,
+) -> u128 {
     let mut h = Bf128Hasher::new();
     SIM_CONTENT_VERSION.hash(&mut h);
-    0u8.hash(&mut h);
+    kind.hash(&mut h);
     extrapolate.hash(&mut h);
     gpu_fp.hash(&mut h);
     lc.hash(&mut h);
-    traces.hash(&mut h);
+    content.hash(&mut h);
     h.finish128()
 }
 
-/// [`launch_key`] for kernels with a compact content tag
-/// ([`KernelTrace::content_tag`]): the tag stands in for the full trace
-/// walk, making the key O(1) instead of O(trace bytes) — cheap enough that
-/// a 0%-hit-rate sweep pays no measurable memoization overhead.
-fn launch_key_tagged(gpu_fp: u64, lc: &LaunchConfig, tag: u128, extrapolate: bool) -> u128 {
-    let mut h = Bf128Hasher::new();
-    SIM_CONTENT_VERSION.hash(&mut h);
-    1u8.hash(&mut h);
-    extrapolate.hash(&mut h);
-    gpu_fp.hash(&mut h);
-    lc.hash(&mut h);
-    tag.hash(&mut h);
-    h.finish128()
-}
-
-/// Simulates one launch through the cache: identical (traces, config, GPU)
-/// triples replay the stored result, everything else simulates and stores.
-/// `gpu_fp` is `gpu.fingerprint()`, passed in so a batch driver hashes the
-/// `GpuConfig` once per sweep instead of once per launch.
+/// Simulates one launch, through the cache when there is one: identical
+/// (traces, config, GPU) triples replay the stored result, everything else
+/// simulates and stores. `gpu_fp` is `gpu.fingerprint()`, passed in so a
+/// batch driver hashes the `GpuConfig` once per sweep instead of once per
+/// launch. `sampled` is the launch's [`SampledLaunch`] when the caller
+/// already built one (for its static walk): the key and a miss then use it
+/// instead of sampling and compiling again. Without one, a tagged kernel's
+/// hit neither samples nor compiles.
 pub fn simulate_launch_cached(
     gpu: &GpuConfig,
     gpu_fp: u64,
     kernel: &dyn KernelTrace,
-    cache: &SimCache,
+    sampled: Option<&SampledLaunch>,
+    cache: Option<&SimCache>,
 ) -> Result<LaunchResult> {
-    let opts = EngineOptions::default();
-    // Tagged kernels are keyed without sampling their blocks, so a hit
-    // skips both trace construction and the content walk.
-    let (key, sampled) = match kernel.content_tag() {
-        Some(tag) => {
-            let lc = kernel.launch_config();
-            let key = launch_key_tagged(gpu_fp, &lc, tag, opts.loop_extrapolation);
-            (key, None)
-        }
-        None => {
-            let s = sample_blocks(gpu, kernel)?;
-            let key = launch_key(gpu_fp, &s.launch, &s.traces, opts.loop_extrapolation);
-            (key, Some(s))
+    let extrapolate = EngineOptions::default().loop_extrapolation;
+    let mut owned = None;
+    let key = match (cache, kernel.content_tag()) {
+        (None, _) => None,
+        // Keyed without sampling, so a hit skips trace construction, the
+        // compile and the content walk.
+        (Some(_), Some(tag)) => Some(launch_key(
+            gpu_fp,
+            &kernel.launch_config(),
+            1,
+            tag,
+            extrapolate,
+        )),
+        (Some(_), None) => {
+            let s = match sampled {
+                Some(s) => s,
+                None => owned.insert(SampledLaunch::new(gpu, kernel)?),
+            };
+            Some(launch_key(gpu_fp, s.launch(), 0, s.traces(), extrapolate))
         }
     };
-    if let Some(result) = cache.get(key) {
+    if let Some(result) = key.and_then(|key| cache?.get(key)) {
         return Ok(result);
     }
-    let sampled = match sampled {
-        Some(s) => s,
-        None => sample_blocks(gpu, kernel)?,
-    };
-    let result = simulate_sampled_launch_with(gpu, &sampled, &opts)?;
-    cache.put(key, result.clone());
+    if sampled.is_none() && owned.is_none() {
+        owned = Some(SampledLaunch::new(gpu, kernel)?);
+    }
+    let sampled = sampled.or(owned.as_ref()).expect("sampled above");
+    let result = simulate_sampled_launch_with(gpu, sampled, &EngineOptions::default());
+    if let (Some(cache), Some(key)) = (cache, key) {
+        cache.put(key, result.clone());
+    }
     Ok(result)
 }
 
@@ -416,7 +424,7 @@ pub fn simulate_launch_cached(
 mod tests {
     use super::*;
     use crate::engine::simulate_launch;
-    use crate::trace::{WarpInstruction, FULL_MASK};
+    use crate::trace::{BlockTrace, WarpInstruction, FULL_MASK};
 
     /// A trivially homogeneous kernel parameterised by a base address, so
     /// tests can mint identical and distinct launches at will.
@@ -467,8 +475,8 @@ mod tests {
             blocks: 64,
         };
         let fresh = simulate_launch(&gpu, &k).unwrap();
-        let miss = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &cache).unwrap();
-        let hit = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &cache).unwrap();
+        let miss = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, None, Some(&cache)).unwrap();
+        let hit = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, None, Some(&cache)).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         for r in [&miss, &hit] {
             assert_eq!(r.time_seconds.to_bits(), fresh.time_seconds.to_bits());
@@ -496,7 +504,8 @@ mod tests {
                 base: 0x1000_0000,
                 blocks: 64,
             },
-            &cache,
+            None,
+            Some(&cache),
         )
         .unwrap();
         let b = simulate_launch_cached(
@@ -506,7 +515,8 @@ mod tests {
                 base: 0x2000_0000,
                 blocks: 64,
             },
-            &cache,
+            None,
+            Some(&cache),
         )
         .unwrap();
         assert_eq!(cache.stats().misses, 2);
@@ -526,14 +536,16 @@ mod tests {
             &GpuConfig::gtx580(),
             GpuConfig::gtx580().fingerprint(),
             &k,
-            &cache,
+            None,
+            Some(&cache),
         )
         .unwrap();
         let kep = simulate_launch_cached(
             &GpuConfig::k20m(),
             GpuConfig::k20m().fingerprint(),
             &k,
-            &cache,
+            None,
+            Some(&cache),
         )
         .unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
@@ -605,11 +617,14 @@ mod tests {
         };
         let lc = k.launch_config();
         let traces: Vec<BlockTrace> = vec![k.block_trace(0, &gpu)];
-        let key1 = launch_key(gpu.fingerprint(), &lc, &traces, true);
-        let key2 = launch_key(gpu.fingerprint(), &lc, &traces, true);
+        let key1 = launch_key(gpu.fingerprint(), &lc, 0, &traces, true);
+        let key2 = launch_key(gpu.fingerprint(), &lc, 0, &traces, true);
         assert_eq!(key1, key2);
-        assert_ne!(key1, launch_key(gpu.fingerprint(), &lc, &traces, false));
-        assert_ne!(key1, launch_key(gpu.fingerprint() ^ 1, &lc, &traces, true));
+        assert_ne!(key1, launch_key(gpu.fingerprint(), &lc, 0, &traces, false));
+        assert_ne!(
+            key1,
+            launch_key(gpu.fingerprint() ^ 1, &lc, 0, &traces, true)
+        );
     }
 
     /// `Streamer` with a content tag, plus a call counter proving the hit
@@ -665,17 +680,20 @@ mod tests {
                 base: 0x1000_0000,
                 blocks: 64,
             },
-            &SimCache::new(),
+            None,
+            Some(&SimCache::new()),
         )
         .unwrap();
         let cache = SimCache::new();
         let tagged = TaggedStreamer::new(0x1000_0000, 64);
-        let miss = simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, &cache).unwrap();
+        let miss =
+            simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, None, Some(&cache)).unwrap();
         let built = tagged
             .trace_calls
             .load(std::sync::atomic::Ordering::Relaxed);
         assert!(built > 0, "the miss must build traces to simulate");
-        let hit = simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, &cache).unwrap();
+        let hit =
+            simulate_launch_cached(&gpu, gpu.fingerprint(), &tagged, None, Some(&cache)).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(
             tagged
@@ -699,7 +717,7 @@ mod tests {
         }
         // Distinct tag inputs must not alias each other.
         let other = TaggedStreamer::new(0x2000_0000, 64);
-        simulate_launch_cached(&gpu, gpu.fingerprint(), &other, &cache).unwrap();
+        simulate_launch_cached(&gpu, gpu.fingerprint(), &other, None, Some(&cache)).unwrap();
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 2 });
     }
 
@@ -714,12 +732,13 @@ mod tests {
             blocks: 64,
         };
         let first = SimCache::with_disk(Arc::clone(&disk));
-        let cold = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &first).unwrap();
+        let cold = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, None, Some(&first)).unwrap();
         assert_eq!(first.stats(), CacheStats { hits: 0, misses: 1 });
         // A brand-new SimCache (fresh process stand-in) over the same disk
         // tier answers from disk without simulating.
         let second = SimCache::with_disk(Arc::clone(&disk));
-        let warm = simulate_launch_cached(&gpu, gpu.fingerprint(), &k, &second).unwrap();
+        let warm =
+            simulate_launch_cached(&gpu, gpu.fingerprint(), &k, None, Some(&second)).unwrap();
         assert_eq!(second.stats(), CacheStats { hits: 1, misses: 0 });
         assert_eq!(warm.time_seconds.to_bits(), cold.time_seconds.to_bits());
         assert_eq!(

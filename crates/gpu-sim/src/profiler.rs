@@ -131,15 +131,9 @@ pub fn profile_kernel(gpu: &GpuConfig, kernel: &dyn KernelTrace) -> Result<Profi
 /// time, then derives one counter set per application — how the paper
 /// aggregates NW's two kernels and the reduction's passes.
 ///
-/// This is the one parallel launch loop. Every launch of every application
-/// goes into a single scheduler queue, so small applications no longer
-/// finish instantly while a single 1000-launch job serialises on one
-/// thread (thread count follows `RAYON_NUM_THREADS`). Results come back in
-/// issue order and each application's events accumulate strictly in that
-/// order, making the output bit-identical to profiling each application
-/// sequentially. `cache` (usually one per sweep, see [`SimCache::from_env`])
-/// lets structurally identical launches from *different* applications
-/// share simulations — multi-pass reductions funnelling into the same tail
+/// `cache` (usually one per sweep, see [`SimCache::from_env`]) lets
+/// structurally identical launches from *different* applications share
+/// simulations — multi-pass reductions funnelling into the same tail
 /// passes, stencil sweeps repeating the same grid; cached replay is
 /// bit-identical by purity. `None` simulates every launch.
 pub fn profile_applications(
@@ -147,6 +141,35 @@ pub fn profile_applications(
     apps: &[(&str, &[Box<dyn KernelTrace>])],
     cache: Option<&SimCache>,
 ) -> Result<Vec<ProfiledRun>> {
+    // The GPU configuration is constant across the batch: fingerprint it
+    // once here instead of once per launch inside the memo key.
+    let gpu_fp = gpu.fingerprint();
+    let runs = profile_applications_with(gpu, apps, |k| {
+        Ok((
+            memo::simulate_launch_cached(gpu, gpu_fp, k, None, cache)?,
+            (),
+        ))
+    });
+    Ok(runs?.0)
+}
+
+/// The one parallel launch loop: [`profile_applications`] with the
+/// per-launch work as its argument. `launch` simulates one launch and may
+/// return a by-product of the same work (`collect --static-features` walks
+/// the [`crate::SampledLaunch`] it simulates); the by-products come back in
+/// issue order, one per launch.
+///
+/// Every launch of every application goes into a single scheduler queue,
+/// so small applications do not finish instantly while a single
+/// 1000-launch job serialises on one thread (thread count follows
+/// `RAYON_NUM_THREADS`). Results come back in issue order and each
+/// application's events accumulate strictly in that order, making the
+/// output bit-identical to profiling each application sequentially.
+pub fn profile_applications_with<T: Send>(
+    gpu: &GpuConfig,
+    apps: &[(&str, &[Box<dyn KernelTrace>])],
+    launch: impl Fn(&dyn KernelTrace) -> Result<(LaunchResult, T)> + Sync,
+) -> Result<(Vec<ProfiledRun>, Vec<T>)> {
     let flat: Vec<(usize, &dyn KernelTrace)> = apps
         .iter()
         .flat_map(|(_, launches)| launches.iter().enumerate().map(|(i, k)| (i, k.as_ref())))
@@ -157,36 +180,30 @@ pub fn profile_applications(
         launches = flat.len()
     );
     let batch_id = batch.id();
-    // The GPU configuration is constant across the batch: fingerprint it
-    // once here instead of once per launch inside the memo key.
-    let cache = cache.map(|c| (c, gpu.fingerprint()));
-    let results: Vec<LaunchResult> = flat
+    let results: Vec<(LaunchResult, T)> = flat
         .into_par_iter()
         .map(|(i, k)| {
             // Workers parent their per-launch spans back to the batch span
             // on the issuing thread, not to whatever ran last on the worker.
             bf_trace::with_parent(batch_id, || {
                 let _launch = bf_trace::span!("launch", kernel = k.name(), index = i);
-                match cache {
-                    Some((c, gpu_fp)) => memo::simulate_launch_cached(gpu, gpu_fp, k, c),
-                    None => simulate_launch(gpu, k),
-                }
                 // A bad launch config or malformed trace (mismatched
                 // barriers) surfaces here with the kernel named, instead of
                 // an anonymous message from deep inside the batch.
-                .map_err(|e| e.in_kernel(&k.name(), i))
+                launch(k).map_err(|e| e.in_kernel(&k.name(), i))
             })
         })
         .collect::<Result<Vec<_>>>()?;
-    let mut results = results.iter();
+    let mut launch_results = results.iter().map(|(r, _)| r);
     let runs = apps.iter().map(|(name, launches)| {
         let mut total = RawEvents::default();
-        for r in results.by_ref().take(launches.len()) {
+        for r in launch_results.by_ref().take(launches.len()) {
             total.accumulate(&r.events);
         }
         ProfiledRun::from_events(gpu, name, &total)
     });
-    Ok(runs.collect())
+    let runs = runs.collect();
+    Ok((runs, results.into_iter().map(|(_, extra)| extra).collect()))
 }
 
 #[cfg(test)]

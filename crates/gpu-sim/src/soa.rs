@@ -634,18 +634,6 @@ pub fn execute(gpu: &GpuConfig, cl: &CompiledLaunch, l1: &mut Cache, l2: &mut Ca
     }
 }
 
-/// Compiles and executes a resident set: the detailed simulation of one
-/// SM the launch engine runs.
-pub fn simulate_resident_set(
-    gpu: &GpuConfig,
-    blocks: &[BlockTrace],
-    l1: &mut Cache,
-    l2: &mut Cache,
-) -> Result<SmResult> {
-    let cl = compile(gpu, blocks)?;
-    Ok(execute(gpu, &cl, l1, l2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,11 +644,11 @@ mod tests {
         GpuConfig::gtx580()
     }
 
-    /// Simulates `blocks` from cold caches.
+    /// Compiles `blocks` and executes them from cold caches.
     fn run(g: &GpuConfig, blocks: &[BlockTrace]) -> SmResult {
         let mut l1 = Cache::new(g.l1_size, g.l1_tag_line(), g.l1_assoc);
         let mut l2 = Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc);
-        simulate_resident_set(g, blocks, &mut l1, &mut l2).unwrap()
+        execute(g, &compile(g, blocks).unwrap(), &mut l1, &mut l2)
     }
 
     /// A block of `n` warps, warp `w`'s stream written by `body(stream, w)`.
@@ -815,9 +803,7 @@ mod tests {
         let g = gpu();
         let mut b = BlockTrace::with_warps(2);
         b.warps[0].push(WarpInstruction::Barrier);
-        let mut l1 = Cache::new(g.l1_size, g.l1_tag_line(), g.l1_assoc);
-        let mut l2 = Cache::new(g.l2_size / g.num_sms, 32, g.l2_assoc);
-        assert!(simulate_resident_set(&g, &[b], &mut l1, &mut l2).is_err());
+        assert!(compile(&g, &[b]).is_err());
     }
 
     #[test]

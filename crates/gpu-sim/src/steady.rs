@@ -30,8 +30,8 @@
 //! fully simulated launch to 1e-9.
 
 use crate::arch::GpuConfig;
-use crate::cache::Cache;
 use crate::counters::{RawEvents, RAW_EVENT_FIELDS};
+use crate::engine::fresh_caches;
 use crate::soa::{self, SmResult};
 use crate::trace::{BlockTrace, WarpInstruction};
 
@@ -158,14 +158,9 @@ fn is_time_like(i: usize) -> bool {
 
 /// Attempts steady-state extrapolation of a resident set. Returns `None`
 /// when the set is not sufficiently periodic or the probe deltas have not
-/// stabilised — the caller then falls back to full simulation.
-/// `fresh_caches` must mint the same cold cache state a full launch
-/// simulation starts from.
-pub fn try_extrapolate(
-    gpu: &GpuConfig,
-    blocks: &[BlockTrace],
-    fresh_caches: impl Fn() -> (Cache, Cache),
-) -> Option<SmResult> {
+/// stabilised — the caller then falls back to full simulation. Each probe
+/// starts from the cold caches a full launch simulation starts from.
+pub fn try_extrapolate(gpu: &GpuConfig, blocks: &[BlockTrace]) -> Option<SmResult> {
     let r_total = {
         let _period = bf_trace::span!("steady.period");
         common_repetitions(blocks)
@@ -180,10 +175,11 @@ pub fn try_extrapolate(
             let _truncate = bf_trace::span!("steady.truncate");
             truncated(blocks, r_total, k)
         };
-        let (mut l1, mut l2) = fresh_caches();
-        // A truncation that fails to simulate (it cannot, structurally,
+        // A truncation that fails to compile (it cannot, structurally,
         // but stay corruption-tolerant) falls back to the full path.
-        probes.push(soa::simulate_resident_set(gpu, &t, &mut l1, &mut l2).ok()?);
+        let compiled = soa::compile(gpu, &t).ok()?;
+        let (mut l1, mut l2) = fresh_caches(gpu);
+        probes.push(soa::execute(gpu, &compiled, &mut l1, &mut l2));
     }
     let (a1, a2, a3) = (
         flatten(&probes[0]),
@@ -296,17 +292,11 @@ mod tests {
         for stream in &mut b.warps {
             *stream = repeat_unit(&[alu(5)], reps);
         }
-        let caches = || {
-            (
-                Cache::new(g.l1_size, g.l1_line, g.l1_assoc),
-                Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc),
-            )
-        };
         let extrapolated =
-            try_extrapolate(&g, std::slice::from_ref(&b), caches).expect("should extrapolate");
-        let (mut l1, mut l2) = caches();
-        let full =
-            soa::simulate_resident_set(&g, std::slice::from_ref(&b), &mut l1, &mut l2).unwrap();
+            try_extrapolate(&g, std::slice::from_ref(&b)).expect("should extrapolate");
+        let (mut l1, mut l2) = fresh_caches(&g);
+        let compiled = soa::compile(&g, std::slice::from_ref(&b)).unwrap();
+        let full = soa::execute(&g, &compiled, &mut l1, &mut l2);
         // Statically exact counters are exactly right.
         assert_eq!(extrapolated.events.inst_executed, full.events.inst_executed);
         assert_eq!(
@@ -326,12 +316,6 @@ mod tests {
         let mut b = BlockTrace::with_warps(1);
         b.warps[0] = repeat_unit(&[alu(1)], MIN_REPETITIONS - 1);
         let g = GpuConfig::gtx580();
-        let caches = || {
-            (
-                Cache::new(g.l1_size, g.l1_line, g.l1_assoc),
-                Cache::new(g.l2_size / g.num_sms, g.l2_line.max(32), g.l2_assoc),
-            )
-        };
-        assert!(try_extrapolate(&g, std::slice::from_ref(&b), caches).is_none());
+        assert!(try_extrapolate(&g, std::slice::from_ref(&b)).is_none());
     }
 }

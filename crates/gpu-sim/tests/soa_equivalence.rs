@@ -19,13 +19,15 @@ mod reference;
 
 use gpu_sim::builder::TraceBuilder;
 use gpu_sim::cache::Cache;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::trace::{first_lanes, BlockTrace, LaunchConfig, WarpInstruction, FULL_MASK};
-use gpu_sim::{
-    simulate_sampled_launch_with, soa, EngineOptions, GpuConfig, RawEvents, SampledBlocks,
+use gpu_sim::soa::{self, SmResult};
+use gpu_sim::steady::MIN_REPETITIONS;
+use gpu_sim::trace::{
+    first_lanes, BlockTrace, KernelTrace, LaunchConfig, WarpInstruction, FULL_MASK,
 };
+use gpu_sim::{simulate_sampled_launch_with, EngineOptions, GpuConfig, RawEvents, SampledLaunch};
 use proptest::prelude::*;
 use reference::simulate_sm;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The cold cache state every launch starts from (mirrors the engine's
 /// private `fresh_caches`): fresh L1, tagged at the L1's tag granularity
@@ -46,13 +48,20 @@ fn arb_gpu() -> impl Strategy<Value = GpuConfig> {
         .prop_map(|i| GpuConfig::arch_representatives().swap_remove(i))
 }
 
+/// The engine's detailed simulation of one resident set: compile, then
+/// execute from cold caches.
+fn engine(gpu: &GpuConfig, blocks: &[BlockTrace]) -> SmResult {
+    let compiled = soa::compile(gpu, blocks).unwrap();
+    let (mut l1, mut l2) = fresh_caches(gpu);
+    soa::execute(gpu, &compiled, &mut l1, &mut l2)
+}
+
 /// Asserts the engine and the reference agree bit for bit on one resident
 /// set: cycles, DRAM bytes and every raw-event slot.
 fn assert_bit_identical(gpu: &GpuConfig, blocks: &[BlockTrace]) {
     let (mut l1_ref, mut l2_ref) = fresh_caches(gpu);
     let reference = simulate_sm(gpu, blocks, &mut l1_ref, &mut l2_ref).unwrap();
-    let (mut l1_soa, mut l2_soa) = fresh_caches(gpu);
-    let batched = soa::simulate_resident_set(gpu, blocks, &mut l1_soa, &mut l2_soa).unwrap();
+    let batched = engine(gpu, blocks);
     assert_eq!(batched.cycles.to_bits(), reference.cycles.to_bits());
     assert_eq!(batched.dram_bytes.to_bits(), reference.dram_bytes.to_bits());
     let (a, b) = (batched.events.as_array(), reference.events.as_array());
@@ -149,7 +158,7 @@ fn invalid_traces_are_rejected_like_reference() {
     bad.warps[0].push(WarpInstruction::Barrier);
     let (mut l1, mut l2) = fresh_caches(&g);
     assert!(simulate_sm(&g, std::slice::from_ref(&bad), &mut l1, &mut l2).is_err());
-    assert!(soa::simulate_resident_set(&g, &[bad], &mut l1, &mut l2).is_err());
+    assert!(soa::compile(&g, &[bad]).is_err());
 }
 
 /// 32 per-lane global byte addresses spanning several L1/L2 lines, so the
@@ -234,6 +243,26 @@ fn arb_block() -> impl Strategy<Value = BlockTrace> {
     })
 }
 
+/// A launch whose every block runs the same trace.
+struct EveryBlock {
+    launch: LaunchConfig,
+    block: BlockTrace,
+}
+
+impl KernelTrace for EveryBlock {
+    fn name(&self) -> String {
+        "every_block".into()
+    }
+
+    fn launch_config(&self) -> LaunchConfig {
+        self.launch
+    }
+
+    fn block_trace(&self, _block_id: usize, _gpu: &GpuConfig) -> BlockTrace {
+        self.block.clone()
+    }
+}
+
 /// The raw-event fields with exact static counterparts, i.e. the 19
 /// counters the bf-analyze differential oracle compares at 1e-9.
 fn statically_exact(ev: &RawEvents) -> [f64; 19] {
@@ -274,8 +303,7 @@ proptest! {
     ) {
         let (mut l1_ref, mut l2_ref) = fresh_caches(&gpu);
         let reference = simulate_sm(&gpu, &blocks, &mut l1_ref, &mut l2_ref).unwrap();
-        let (mut l1_soa, mut l2_soa) = fresh_caches(&gpu);
-        let batched = soa::simulate_resident_set(&gpu, &blocks, &mut l1_soa, &mut l2_soa).unwrap();
+        let batched = engine(&gpu, &blocks);
 
         prop_assert_eq!(
             batched.cycles.to_bits(),
@@ -305,12 +333,11 @@ proptest! {
         }
     }
 
-    /// Loop extrapolation is counter-exact: a launch whose warps repeat a
-    /// steady-state unit many times yields the same statically exact
-    /// counters whether the tail is simulated or extrapolated, to the
-    /// differential-oracle tolerance.
-    #[test]
-    fn loop_extrapolation_preserves_statically_exact_counters(
+    /// The cases of [`loop_extrapolation_preserves_statically_exact_counters`]:
+    /// a launch whose warps repeat a steady-state unit many times yields the
+    /// same statically exact counters whether the tail is simulated or
+    /// extrapolated, to the differential-oracle tolerance.
+    fn loop_extrapolation_cases(
         gpu in arb_gpu(),
         unit in proptest::collection::vec(arb_instruction(), 1..4),
         with_barrier in any::<bool>(),
@@ -333,20 +360,21 @@ proptest! {
             regs_per_thread: 16,
             shared_mem_per_block: 0,
         };
-        let sampled = SampledBlocks {
-            launch: lc,
-            occupancy: occupancy(&gpu, &lc).unwrap(),
-            ids: vec![0],
-            traces: vec![block],
-        };
+        let sampled = SampledLaunch::new(&gpu, &EveryBlock { launch: lc, block }).unwrap();
         let full = simulate_sampled_launch_with(
             &gpu, &sampled,
             &EngineOptions { loop_extrapolation: false },
-        ).unwrap();
-        let extr = simulate_sampled_launch_with(
+        );
+        let (extr, trace) = bf_trace::capture(|| simulate_sampled_launch_with(
             &gpu, &sampled,
             &EngineOptions { loop_extrapolation: true },
-        ).unwrap();
+        ));
+        if reps >= MIN_REPETITIONS {
+            ELIGIBLE.fetch_add(1, Ordering::Relaxed);
+            if trace.counters.contains_key("sim.loop_extrapolated") {
+                EXTRAPOLATED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
 
         prop_assert_eq!(extr.waves, full.waves);
         prop_assert_eq!(extr.sampled_blocks, full.sampled_blocks);
@@ -361,4 +389,23 @@ proptest! {
             );
         }
     }
+}
+
+/// Of the extrapolation property's cases, those whose warps repeat their
+/// unit at least [`MIN_REPETITIONS`] times, and those among them the engine
+/// extrapolated.
+static ELIGIBLE: AtomicUsize = AtomicUsize::new(0);
+static EXTRAPOLATED: AtomicUsize = AtomicUsize::new(0);
+
+/// Loop extrapolation is counter-exact ([`loop_extrapolation_cases`]), and
+/// the property exercises it: where extrapolation does not fire, the two
+/// runs are one and the comparison tests nothing.
+#[test]
+fn loop_extrapolation_preserves_statically_exact_counters() {
+    loop_extrapolation_cases();
+    let eligible = ELIGIBLE.load(Ordering::Relaxed);
+    let extrapolated = EXTRAPOLATED.load(Ordering::Relaxed);
+    eprintln!("extrapolated {extrapolated} of {eligible} cases with enough repetitions");
+    assert!(eligible > 0, "no case repeats its unit often enough");
+    assert!(extrapolated > 0, "no case of {eligible} extrapolated");
 }

@@ -267,9 +267,9 @@ fn sim_cache_never_aliases_across_differing_configs() {
         ..a.clone()
     };
     let cache = SimCache::new();
-    let ra = simulate_launch_cached(&a, a.fingerprint(), &kernel, &cache).unwrap();
+    let ra = simulate_launch_cached(&a, a.fingerprint(), &kernel, None, Some(&cache)).unwrap();
     assert_eq!(cache.stats().misses, 1);
-    let rb = simulate_launch_cached(&b, b.fingerprint(), &kernel, &cache).unwrap();
+    let rb = simulate_launch_cached(&b, b.fingerprint(), &kernel, None, Some(&cache)).unwrap();
     assert_eq!(
         cache.stats().misses,
         2,
@@ -285,7 +285,7 @@ fn sim_cache_never_aliases_across_differing_configs() {
         ra.events.l2_read_transactions
     );
     // Replaying either config is a pure hit.
-    let ra2 = simulate_launch_cached(&a, a.fingerprint(), &kernel, &cache).unwrap();
+    let ra2 = simulate_launch_cached(&a, a.fingerprint(), &kernel, None, Some(&cache)).unwrap();
     assert_eq!(cache.stats().hits, 1);
     assert_eq!(ra.time_seconds.to_bits(), ra2.time_seconds.to_bits());
 }

@@ -3,7 +3,7 @@
 //! keep-alive and pipelining, a bounded admission queue (fast
 //! `429 Too Many Requests` + `Retry-After` when full), and adaptive
 //! micro-batching: concurrent `/predict` requests are coalesced into one
-//! forest pass. See [`crate::eventloop`]. This module holds the routing,
+//! forest pass. See the `eventloop` module. This module holds the routing,
 //! validation, prediction, metrics, and cache code the loop calls into.
 //!
 //! Since PR 8 the server fronts a [`Registry`] of N concurrently loaded

@@ -4,7 +4,7 @@
 //! and respect basic monotonicity.
 
 use blackforest_suite::gpu_sim::cache::Cache;
-use blackforest_suite::gpu_sim::soa::{simulate_resident_set, SmResult};
+use blackforest_suite::gpu_sim::soa::{compile, execute, SmResult};
 use blackforest_suite::gpu_sim::trace::{BlockTrace, WarpInstruction, FULL_MASK};
 use blackforest_suite::gpu_sim::GpuConfig;
 use proptest::prelude::*;
@@ -93,7 +93,8 @@ fn block_strategy() -> impl Strategy<Value = BlockTrace> {
 fn run(gpu: &GpuConfig, blocks: &[BlockTrace]) -> SmResult {
     let mut l1 = Cache::new(gpu.l1_size, gpu.l1_line, gpu.l1_assoc);
     let mut l2 = Cache::new(gpu.l2_size / gpu.num_sms, 32, gpu.l2_assoc);
-    simulate_resident_set(gpu, blocks, &mut l1, &mut l2).expect("valid trace must simulate")
+    let compiled = compile(gpu, blocks).expect("valid trace must compile");
+    execute(gpu, &compiled, &mut l1, &mut l2)
 }
 
 proptest! {

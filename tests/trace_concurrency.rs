@@ -6,7 +6,7 @@
 //!    lose, duplicate, or re-parent one. Cache hit/miss counters are only
 //!    compared as a sum (racing workers may double-compute a launch, so the
 //!    split is scheduling-dependent, but every lookup is still counted), and
-//!    the spans that run only on a cache miss (re-sampling, the steady-state
+//!    the spans that run only on a cache miss (sampling, the steady-state
 //!    probes, and the engine's compile and execute phases) are held to
 //!    consistency (equal counts within each group, parallel ≥ sequential)
 //!    rather than exact equality, for the same reason.
@@ -43,15 +43,18 @@ fn quick_collect() -> blackforest_suite::blackforest::Dataset {
 /// double-compute a launch, see the module comment), so these counts can
 /// legitimately differ across thread counts; they are compared for internal
 /// consistency instead of exact equality. All are leaves of `launch`.
-const MISS_PATH: [&[&str]; 3] = [
-    // Once per miss: re-sampling a tagged kernel's blocks, and the
+const MISS_PATH: [&[&str]; 4] = [
+    // Once per miss: sampling a tagged kernel's blocks, and the
     // steady-state period probe in `steady::try_extrapolate`.
     &["sample_blocks", "steady.period"],
     // Up to three per extrapolation attempt: the truncated probe sets.
     &["steady.truncate"],
-    // Once per resident-set simulation (`soa::compile`, then
-    // `soa::execute`): the full set and each probe.
-    &["validate", "trace_walk", "coalesce", "banks", "issue_loop"],
+    // Once per compile (`soa::compile`): the sampled launch's, and each
+    // probe's.
+    &["validate", "trace_walk", "coalesce", "banks"],
+    // Once per execute (`soa::execute`): each probe, and the sampled
+    // launch unless its probes extrapolated it.
+    &["issue_loop"],
 ];
 
 #[test]

@@ -17,7 +17,7 @@
 //! ```
 
 use blackforest_suite::analyze::{workload_sweep_with_chars, WORKLOADS};
-use blackforest_suite::gpu_sim::{sample_blocks, Bf128Hasher, GpuConfig};
+use blackforest_suite::gpu_sim::{Bf128Hasher, GpuConfig, SampledLaunch};
 use blackforest_suite::kernels::TRACE_GEN_VERSION;
 use std::fmt::Write as _;
 use std::hash::Hash;
@@ -28,20 +28,21 @@ mod common;
 const GOLDEN: &str = "trace_digests.txt";
 
 /// One line per (preset, workload): launch and block counts plus the digest
-/// of everything `sample_blocks` returned for the sweep's launches.
+/// of the geometry, block ids and traces of every [`SampledLaunch`] of the
+/// sweep.
 fn digest_line(gpu: &GpuConfig, workload: &str) -> String {
     let (apps, _) = workload_sweep_with_chars(workload, true).expect("known workload");
     let mut h = Bf128Hasher::new();
     let (mut launches, mut blocks) = (0usize, 0usize);
     for app in &apps {
         for kernel in &app.launches {
-            let s = sample_blocks(gpu, kernel.as_ref())
+            let s = SampledLaunch::new(gpu, kernel.as_ref())
                 .unwrap_or_else(|e| panic!("sample {workload} on {}: {e}", gpu.name));
-            s.launch.hash(&mut h);
-            s.ids.hash(&mut h);
-            s.traces.hash(&mut h);
+            s.launch().hash(&mut h);
+            s.ids().hash(&mut h);
+            s.traces().hash(&mut h);
             launches += 1;
-            blocks += s.ids.len();
+            blocks += s.ids().len();
         }
     }
     format!(
